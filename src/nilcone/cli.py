@@ -2,11 +2,9 @@
 
 Every command prints a report (human table or stable JSON) ending in a
 PASS/FAIL verdict computed from module outputs, never re-derived here.
-Exit codes: 0 verdict PASS, 1 bad arguments, 2 verdict FAIL (a prediction
-mismatch is treated as a build-breaking defect).
-
-The environment variable NILCONE_SEED is reserved and unused: every code
-path is deterministic by construction.
+Exit codes: 0 verdict PASS, 1 bad arguments (one "error: ..." line on
+stderr), 2 verdict FAIL (a prediction mismatch is treated as a
+build-breaking defect).
 """
 
 from __future__ import annotations
@@ -23,13 +21,30 @@ from .solver import CasimirPolynomial, GlobalQuery
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
+        sys.stderr.write(f"error: {message} (see '{self.prog} --help')\n")
         raise SystemExit(1)
 
 
 class UsageError(ValueError):
     pass
+
+
+def _ranged(convert, accept, requirement: str):
+    """argparse type: convert the text, then require accept(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_natural = _ranged(int, lambda v: v >= 0, "an integer >= 0")
+_grid_size = _ranged(int, lambda v: v >= 2, "an integer >= 2")
+_width = _ranged(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -425,51 +440,51 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("irrep", help="module matrices and Casimir scalar")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     common(p)
     p.set_defaults(func=_cmd_irrep)
 
     p = sub.add_parser("kernel", help="order-bounded invariant kernel on the transversal")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--max-order", type=_natural, required=True)
     common(p)
     p.set_defaults(func=_cmd_kernel)
 
     p = sub.add_parser("orbit", help="Casimir iterates of the delta seed")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--max-order", type=_natural, required=True)
     common(p)
     p.set_defaults(func=_cmd_orbit)
 
     p = sub.add_parser("solve", help="invariant solutions of a monic polynomial in the Casimir")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--poly", type=str, required=True,
                    help="monic polynomial in t, e.g. 't^2-3/2*t+1'")
-    p.add_argument("--max-order", type=int, default=8)
+    p.add_argument("--max-order", type=_natural, default=8)
     common(p)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("supp0-dims", help="graded dimensions of origin-supported invariants")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--n", type=_natural, required=True)
+    p.add_argument("--max-degree", type=_natural, default=12)
     common(p)
     p.set_defaults(func=_cmd_supp0)
 
     p = sub.add_parser("classify", help="decision table over an invariant open set")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
     p.add_argument("--origin", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--nplus", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--nminus", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--max-degree", type=int, default=12)
+    p.add_argument("--max-degree", type=_natural, default=12)
     common(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("numcheck", help="floating-point cross-checks")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_natural, default=2)
     p.add_argument("--kind", choices=("invariance", "obstruction", "pairing"),
                    required=True)
-    p.add_argument("--grid", type=int, default=128)
-    p.add_argument("--sigma", type=float, default=0.75)
+    p.add_argument("--grid", type=_grid_size, default=128)
+    p.add_argument("--sigma", type=_width, default=0.75)
     common(p)
     p.set_defaults(func=_cmd_numcheck)
 
@@ -481,7 +496,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except ArithmeticError as exc:

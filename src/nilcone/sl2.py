@@ -5,7 +5,8 @@ The Lie algebra is presented on the basis (H, X, Y) with [H,X] = 2X,
 ladder basis (v_0, ..., v_n), v_i of H-weight -n+2i, with v_i the i-th
 raising image of the lowest weight vector.  All matrix entries are
 Fractions, so every identity asserted downstream is exact; n stays small
-(tens, not thousands), dense matrices are fine.
+(tens, not thousands), so the matrices are stored dense and multiplied
+sparsely.
 """
 
 from __future__ import annotations
@@ -51,11 +52,18 @@ class EndMatrix:
 
     def __mul__(self, other):
         if isinstance(other, EndMatrix):
+            # Skips zero entries: the module matrices are diagonal or
+            # bidiagonal, so a product costs O(n) Fraction products, not O(n^3).
             self._check(other)
             dim = self.n + 1
-            cols = list(zip(*other.rows))
-            return EndMatrix(self.n, [[sum(a * b for a, b in zip(row, col))
-                                       for col in cols] for row in self.rows])
+            other_nonzero = [[(c, b) for c, b in enumerate(row) if b] for row in other.rows]
+            out = [[0] * dim for _ in range(dim)]
+            for out_row, row in zip(out, self.rows):
+                for j, a in enumerate(row):
+                    if a:
+                        for c, b in other_nonzero[j]:
+                            out_row[c] += a * b
+            return EndMatrix(self.n, out)
         return EndMatrix(self.n, [[a * Fraction(other) for a in row] for row in self.rows])
 
     def __rmul__(self, scalar) -> "EndMatrix":

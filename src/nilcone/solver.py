@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import invariant_dim
-from .transversal import TransversalDist, delta_seed, equivariance_defect, radial_casimir
+from .transversal import (TransversalDist, _defect_terms, delta_seed, equivariance_defect,
+                          radial_casimir)
 
 
 @dataclass(frozen=True)
@@ -208,20 +209,23 @@ def predicted_kernel_dim(n: int, K: int) -> int:
     return min(K + 1, (n + 1) // 2)
 
 
+def _equivariance_rows(n: int, coords: list[tuple[int, int]]) -> list[dict[int, int]]:
+    """Sparse rows ({col: coefficient}) of the equivariance operator on the
+    given coordinates, ordered by output key (i, k)."""
+    rows: dict[tuple[int, int], dict[int, int]] = {}
+    for pos, key in enumerate(coords):
+        for out_key, coeff in _defect_terms(n, [(key, 1)]):
+            rows.setdefault(out_key, {})[pos] = coeff
+    return [rows[key] for key in sorted(rows)]
+
+
 def kernel_basis(n: int, K: int) -> list[TransversalDist]:
     """Exact basis of {psi : delta order <= K, equivariance defect = 0},
     echelonized on the top ladder coefficients a_{n,0..K}."""
     if n < 0 or K < 0:
         raise ValueError("n and K must be natural numbers")
     coords = [(i, k) for i in range(n + 1) for k in range(K + 1)]
-    col = {key: pos for pos, key in enumerate(coords)}
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for key, pos in col.items():
-        image = equivariance_defect(TransversalDist(n, {key: 1}))
-        for out_key, coeff in image.terms.items():
-            rows.setdefault(out_key, {})[pos] = coeff
-    row_list = [rows[key] for key in sorted(rows)]
-    vectors = _nullspace(row_list, len(coords))
+    vectors = _nullspace(_equivariance_rows(n, coords), len(coords))
     dists = [TransversalDist(n, {coords[p]: v for p, v in enumerate(vec) if v})
              for vec in vectors]
     return _echelonize_top(dists)

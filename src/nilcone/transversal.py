@@ -8,6 +8,11 @@ sums: psi is the restriction of a locally invariant distribution exactly
 when (rho(X) + y*rho(Y)) psi = 0, and the ambient Casimir acts through its
 radial form (3 + rho(H) + 2y d/dy) d/dy + (1/2) rho(Y)^2.
 
+The module action is applied term by term through the ladder formulas:
+rho(X) sends v_i to v_{i+1}, rho(Y) sends v_i to (n-i+1)i v_{i-1}, and
+rho(H) scales v_i by 2i-n.  apply_endo, which multiplies by an sl2.EndMatrix,
+is kept as the reference these formulas are checked against.
+
 Operations never truncate in the delta order k; any cutoff is the caller's
 search bound, not ours.
 """
@@ -18,7 +23,7 @@ import json
 import math
 from fractions import Fraction
 
-from .sl2 import EndMatrix, make_irrep
+from .sl2 import EndMatrix
 
 
 class TransversalDist:
@@ -148,25 +153,49 @@ def apply_endo(endo: EndMatrix, psi: TransversalDist) -> TransversalDist:
     return TransversalDist(psi.n, out)
 
 
+def _collect(n: int, contributions) -> TransversalDist:
+    """Sum (key, coefficient) contributions into a distribution."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for key, coeff in contributions:
+        out[key] = out.get(key, 0) + coeff
+    return TransversalDist(n, out)
+
+
+def _defect_terms(n: int, terms):
+    """(rho(X) + y*rho(Y)) on each a*delta^k (x) v_i, as (key, coefficient)
+    contributions: rho(X) gives a*delta^k (x) v_{i+1}, and y*rho(Y) gives
+    -k(n-i+1)i*a*delta^{k-1} (x) v_{i-1}."""
+    for (i, k), c in terms:
+        if i < n:
+            yield (i + 1, k), c
+        if i and k:
+            yield (i - 1, k - 1), -k * (n - i + 1) * i * c
+
+
 def equivariance_defect(psi: TransversalDist) -> TransversalDist:
     """(rho(X) + y*rho(Y)) psi.  Zero exactly when psi is the transversal
     restriction of a locally invariant distribution."""
-    rep = make_irrep(psi.n)
-    return apply_endo(rep.rho_x, psi) + mul_y(apply_endo(rep.rho_y, psi))
+    return _collect(psi.n, _defect_terms(psi.n, psi.terms.items()))
 
 
 def radial_casimir(psi: TransversalDist) -> TransversalDist:
     """Radial form of the Casimir operator on the transversal:
     (3 + rho(H) + 2y d/dy) d/dy + (1/2) rho(Y)^2, computed exactly.
 
-    On the v_n component it sends a*delta^k to (n-2k-1)*a*delta^{k+1} plus
-    terms in lower ladder vectors; that leading coefficient drives the whole
-    classification.
+    The first part sends a*delta^k (x) v_i to (2i-n-2k-1)*a*delta^{k+1} (x) v_i;
+    the second lowers it twice, to (1/2)(n-i+1)i(n-i+2)(i-1)*a*delta^k (x) v_{i-2}.
+    On the v_n component the leading coefficient is (n-2k-1); it drives the
+    whole classification.
     """
-    rep = make_irrep(psi.n)
-    d1 = d_dy(psi)
-    out = 3 * d1 + apply_endo(rep.rho_h, d1) + 2 * mul_y(d_dy(d1))
-    return out + Fraction(1, 2) * apply_endo(rep.rho_y * rep.rho_y, psi)
+    n = psi.n
+
+    def contributions():
+        for (i, k), c in psi.terms.items():
+            yield (i, k + 1), (2 * i - n - 2 * k - 1) * c
+            if i >= 2:
+                yield (i - 2, k), (n - i + 1) * i * (n - i + 2) * (i - 1) // 2 * c
+
+    return _collect(n, contributions())
 
 
 def radial_mn(psi: TransversalDist) -> TransversalDist:
@@ -181,6 +210,15 @@ def radial_mn(psi: TransversalDist) -> TransversalDist:
     """
     if equivariance_defect(psi):
         raise ValueError("radial_mn requires a locally invariant distribution")
-    rep = make_irrep(psi.n)
-    d1 = d_dy(psi)
-    return apply_endo(rep.rho_x, d1) + mul_y(apply_endo(rep.rho_y, d1)) + apply_endo(rep.rho_y, psi)
+    n = psi.n
+
+    def contributions():
+        # (rho(X) + y*rho(Y)) d/dy sends a*delta^k (x) v_i to a*delta^{k+1} (x) v_{i+1}
+        # and -(k+1)(n-i+1)i*a*delta^k (x) v_{i-1}; rho(Y) adds (n-i+1)i*a there.
+        for (i, k), c in psi.terms.items():
+            if i < n:
+                yield (i + 1, k + 1), c
+            if i and k:
+                yield (i - 1, k), -k * (n - i + 1) * i * c
+
+    return _collect(n, contributions())

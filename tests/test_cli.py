@@ -56,6 +56,35 @@ def test_exit_one_on_usage_errors():
     assert run(["nonsense"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["numcheck", "--kind", "invariance", "--n", "2", "--sigma", "-1", "--grid", "64"],
+    ["classify", "--n", "2", "--max-degree", "-3"],
+    ["kernel", "--n", "-1", "--max-order", "3"],
+    ["orbit", "--n", "3", "--max-order", "-1"],
+    ["solve", "--n", "3", "--poly", "t", "--max-order", "-2"],
+    ["numcheck", "--kind", "obstruction", "--n", "1", "--grid", "1"],
+    ["numcheck", "--kind", "pairing", "--sigma", "nan"],
+    ["supp0-dims", "--n", "x"],
+])
+def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_library_value_errors_exit_one(monkeypatch, capsys):
+    def refuse(n, K):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(cli.solver, "kernel_basis", refuse)
+    assert run(["kernel", "--n", "2", "--max-order", "3"]) == 1
+    assert capsys.readouterr().err == "error: refused\n"
+
+
 def test_exit_two_on_prediction_mismatch(monkeypatch):
     original = solver.kernel_basis
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcone.sl2 import (EndMatrix, casimir_scalar, commutator, expected_casimir,
                          make_irrep)
@@ -85,3 +87,28 @@ def test_matrix_arithmetic_basics():
     assert (a ** 0) == EndMatrix.identity(1)
     assert a.scalar_value() is None
     assert (3 * EndMatrix.identity(1)).scalar_value() == 3
+
+
+def _mostly_zero_matrix(n: int):
+    """At most 2(n+1) nonzero entries out of (n+1)^2."""
+    index = st.integers(0, n)
+    entries = st.dictionaries(st.tuples(index, index),
+                              st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                              max_size=2 * (n + 1))
+
+    def build(nonzero):
+        return EndMatrix(n, [[nonzero.get((i, j), 0) for j in range(n + 1)]
+                             for i in range(n + 1)])
+
+    return entries.map(build)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(_mostly_zero_matrix(n),
+                                                     _mostly_zero_matrix(n))))
+def test_sparse_product_matches_triple_loop(pair):
+    a, b = pair
+    dim = a.n + 1
+    dense = [[sum((a.rows[i][j] * b.rows[j][c] for j in range(dim)), Fraction(0))
+              for c in range(dim)] for i in range(dim)]
+    assert a * b == EndMatrix(a.n, dense)

@@ -1,6 +1,7 @@
 """Delta calculus identities, all exact."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from nilcone.sl2 import EndMatrix, make_irrep
 from nilcone.transversal import (TransversalDist, apply_endo, d_dy, delta_seed,
                                  equivariance_defect, mul_y, radial_casimir,
                                  radial_mn)
-from nilcone.solver import kernel_basis
+from nilcone.solver import _equivariance_rows, kernel_basis
 
 
 def dist_strategy(n: int, max_order: int = 6):
@@ -172,3 +173,60 @@ def test_serialization_renders_fraction_strings():
     rec = psi.to_record()
     assert {"i": 1, "k": 0, "coeff": "-3/7"} in rec["terms"]
     assert {"i": 2, "k": 4, "coeff": "2"} in rec["terms"]
+
+
+# -- the ladder formulas against their dense-matrix definitions ------------------
+#
+# transversal applies the module action through the ladder formulas; the
+# references below apply it as sl2.make_irrep matrices through apply_endo.
+
+
+def dense_defect(psi):
+    rep = make_irrep(psi.n)
+    return apply_endo(rep.rho_x, psi) + mul_y(apply_endo(rep.rho_y, psi))
+
+
+def dense_casimir(psi):
+    rep = make_irrep(psi.n)
+    d1 = d_dy(psi)
+    return (3 * d1 + apply_endo(rep.rho_h, d1) + 2 * mul_y(d_dy(d1))
+            + Fraction(1, 2) * apply_endo(rep.rho_y * rep.rho_y, psi))
+
+
+def dense_mn(psi):
+    rep = make_irrep(psi.n)
+    d1 = d_dy(psi)
+    return (apply_endo(rep.rho_x, d1) + mul_y(apply_endo(rep.rho_y, d1))
+            + apply_endo(rep.rho_y, psi))
+
+
+any_dist = st.integers(0, 13).flatmap(lambda n: dist_strategy(n, max_order=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_dist)
+def test_ladder_operators_match_dense_definitions(psi):
+    assert equivariance_defect(psi) == dense_defect(psi)
+    assert radial_casimir(psi) == dense_casimir(psi)
+
+
+def test_radial_mn_matches_dense_definition():
+    rng = random.Random(4181)
+    for n in range(14):
+        basis = kernel_basis(n, 8)
+        for _ in range(4):
+            psi = TransversalDist(n, {})
+            for b in rng.sample(basis, rng.randint(1, len(basis))):
+                psi = psi + Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * b
+            assert radial_mn(psi) == dense_mn(psi)
+
+
+def test_kernel_rows_match_defect_on_unit_vectors():
+    for n in range(14):
+        for K in range(9):
+            coords = [(i, k) for i in range(n + 1) for k in range(K + 1)]
+            rows = {}
+            for pos, key in enumerate(coords):
+                for out_key, coeff in dense_defect(TransversalDist(n, {key: 1})).terms.items():
+                    rows.setdefault(out_key, {})[pos] = coeff
+            assert _equivariance_rows(n, coords) == [rows[key] for key in sorted(rows)]
