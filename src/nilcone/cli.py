@@ -42,8 +42,14 @@ def _ranged(convert, accept, requirement: str):
     return parse
 
 
-_natural = _ranged(int, lambda v: v >= 0, "an integer >= 0")
-_grid_size = _ranged(int, lambda v: v >= 2, "an integer >= 2")
+# Upper caps bound the work a single command may ask for: --n, --max-order,
+# --max-degree and the degree of --poly are at most SIZE_CAP, --grid (nodes
+# per axis of an m x m quadrature grid) at most GRID_CAP.
+SIZE_CAP = 64
+GRID_CAP = 512
+
+_natural = _ranged(int, lambda v: 0 <= v <= SIZE_CAP, f"an integer in [0, {SIZE_CAP}]")
+_grid_size = _ranged(int, lambda v: 2 <= v <= GRID_CAP, f"an integer in [2, {GRID_CAP}]")
 _width = _ranged(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
@@ -118,7 +124,8 @@ class _PolyReader:
 
 
 def parse_poly(text: str) -> CasimirPolynomial:
-    """Parse a monic polynomial in t with rational coefficients."""
+    """Parse a monic polynomial in t with rational coefficients, of degree
+    at most SIZE_CAP."""
     reader = _PolyReader(_tokenize_poly(text))
     coeffs: dict[int, Fraction] = {}
     sign = Fraction(1)
@@ -134,6 +141,8 @@ def parse_poly(text: str) -> CasimirPolynomial:
             raise UsageError(f"expected '+' or '-' between terms, got {tok!r}")
         sign = Fraction(-1) if reader.take() == "-" else Fraction(1)
     degree = max(coeffs)
+    if degree > SIZE_CAP:
+        raise UsageError(f"the polynomial degree must be at most {SIZE_CAP}, got {degree}")
     if degree < 1:
         raise UsageError("the polynomial must have degree at least 1")
     if coeffs[degree] != 1:
@@ -233,7 +242,7 @@ def _cmd_orbit(args) -> int:
                   "verdict": "FAIL", "verdict_detail": str(exc)}
         _emit(report, args.format, [str(exc)])
         return 2
-    predicted = args.max_order + 1 if args.n % 2 == 0 else (args.n + 1) // 2
+    predicted = solver.predicted_orbit_length(args.n, args.max_order)
     passed = len(orbit) == predicted
     report = {
         "command": "orbit",

@@ -10,8 +10,14 @@ a monic polynomial equation in the radial Casimir, with no truncation of
 the image.  classify_global renders the invariant-open-set decision table.
 
 Nullspace computation is exact Gauss-Jordan over Fractions with
-deterministic pivoting: columns ordered by (i, k) lexicographically, the
-pivot of each row being its lowest column.
+deterministic pivoting, the pivot of each row being its lowest column.  The
+column order is what puts the bases in top-echelon form (element j reads
+a_{n,j} = 1 and 0 at the other elements' leads): kernel_basis orders the
+coordinates (i < n, k) first and the top ones (n, K), ..., (n, 0) last,
+solve_polynomial takes the kernel elements in decreasing j.  An invariant
+distribution is determined by its top coefficients, so every free column
+is a top coordinate, and the unique reduced echelon form is the
+top-echelon basis with no second elimination.
 """
 
 from __future__ import annotations
@@ -121,81 +127,56 @@ class GlobalAnswer:
 # exact nullspace machinery
 
 
-def _nullspace(rows, ncols: int) -> list[list[Fraction]]:
-    """Exact nullspace basis from sparse rows ({col: Fraction} maps).
+def _eliminate(row: dict, col: int, unit_row: dict) -> None:
+    """row -= row[col] * unit_row in place, unit_row having 1 at col; zero
+    entries are dropped."""
+    factor = row.pop(col)
+    for c, v in unit_row.items():
+        if c != col:
+            nv = row.get(c, 0) - factor * v
+            if nv:
+                row[c] = nv
+            else:
+                del row[c]
 
-    Gauss-Jordan with unit pivots; each row pivots on its lowest surviving
-    column, rows processed in the order given, so output is deterministic.
-    Basis vectors are indexed by free columns in increasing order.
+
+def _nullspace(rows, ncols: int) -> list[dict]:
+    """Exact nullspace basis from sparse rows ({col: rational} maps with no
+    zero values, the values ints or Fractions), as sparse vectors of the
+    same kind.  The rows are consumed: they become the pivot rows.
+
+    Gauss-Jordan with unit pivots, each row pivoting on its lowest surviving
+    column: forward elimination row by row, then back substitution from the
+    highest pivot down.  The reduced echelon form is unique, so the basis
+    depends on the column order alone.  Vector f has 1 at free column f and
+    0 at the other free columns; vectors come in increasing f.  Only a pivot
+    row with entries besides its lead is divided, so an integer system whose
+    other pivots already read 1, like the kernel's, stays in int arithmetic.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict] = {}
     for row in rows:
-        row = {c: Fraction(v) for c, v in row.items() if v}
         while row:
             lead = min(row)
             if lead in pivots:
-                factor = row.pop(lead)
-                for c, v in pivots[lead].items():
-                    if c == lead:
-                        continue
-                    nv = row.get(c, Fraction(0)) - factor * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
+                _eliminate(row, lead, pivots[lead])
                 continue
-            inv = Fraction(1) / row[lead]
-            row = {c: v * inv for c, v in row.items()}
-            for prow in pivots.values():
-                if lead in prow:
-                    factor = prow.pop(lead)
-                    for c, v in row.items():
-                        if c == lead:
-                            continue
-                        nv = prow.get(c, Fraction(0)) - factor * v
-                        if nv:
-                            prow[c] = nv
-                        else:
-                            prow.pop(c, None)
+            scale = row.pop(lead)
+            if scale != 1 and row:
+                inv = Fraction(1) / scale
+                row = {c: v * inv for c, v in row.items()}
+            row[lead] = 1
             pivots[lead] = row
             break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for pc, prow in pivots.items():
-            if f in prow:
-                vec[pc] = -prow[f]
-        basis.append(vec)
-    return basis
-
-
-def _echelonize_top(dists: list[TransversalDist]) -> list[TransversalDist]:
-    """Renormalize a linearly independent family so element j reads off
-    a_{n,j} = 1 and a_{n,j'} = 0 on the top ladder coefficients.
-
-    Valid because invariant distributions are determined by their top
-    coefficients; a family on which that projection degenerates signals an
-    internal contradiction and raises.
-    """
-    out: list[tuple[int, TransversalDist]] = []   # (pivot k, distribution)
-    for dist in dists:
-        cur = dist
-        for k, piv in out:
-            c = cur.coefficient(cur.n, k)
-            if c:
-                cur = cur - c * piv
-        tops = {k: c for (i, k), c in cur.terms.items() if i == cur.n}
-        if not tops:
-            raise ArithmeticError("top-coefficient readout degenerated; "
-                                  "the echelon normalization is impossible")
-        lead = min(tops)
-        cur = (Fraction(1) / tops[lead]) * cur
-        out = [(k, piv - piv.coefficient(piv.n, lead) * cur) for k, piv in out]
-        out.append((lead, cur))
-    out.sort(key=lambda pair: pair[0])
-    return [dist for _, dist in out]
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for c in [c for c in row if c != lead and c in pivots]:
+            _eliminate(row, c, pivots[c])
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    for lead, row in pivots.items():
+        for c, v in row.items():
+            if c != lead:
+                basis[c][lead] = -v
+    return list(basis.values())
 
 
 # ---------------------------------------------------------------------------
@@ -209,26 +190,41 @@ def predicted_kernel_dim(n: int, K: int) -> int:
     return min(K + 1, (n + 1) // 2)
 
 
-def _equivariance_rows(n: int, coords: list[tuple[int, int]]) -> list[dict[int, int]]:
-    """Sparse rows ({col: coefficient}) of the equivariance operator on the
-    given coordinates, ordered by output key (i, k)."""
-    rows: dict[tuple[int, int], dict[int, int]] = {}
-    for pos, key in enumerate(coords):
-        for out_key, coeff in _defect_terms(n, [(key, 1)]):
-            rows.setdefault(out_key, {})[pos] = coeff
+def predicted_orbit_length(n: int, K: int) -> int:
+    """Closed-form length of casimir_orbit(n, K)."""
+    return K + 1 if n % 2 == 0 else (n + 1) // 2
+
+
+def _rows(images) -> list[dict]:
+    """Sparse rows ({col: coefficient}) of the linear map sending column j
+    to images[j], given as (key, coefficient) pairs; rows ordered by key."""
+    rows: dict[tuple[int, int], dict] = {}
+    for col, image in enumerate(images):
+        for key, coeff in image:
+            rows.setdefault(key, {})[col] = coeff
     return [rows[key] for key in sorted(rows)]
 
 
+def _equivariance_rows(n: int, coords: list[tuple[int, int]]) -> list[dict]:
+    """Sparse rows of the equivariance operator on the given coordinates."""
+    return _rows(_defect_terms(n, [(key, 1)]) for key in coords)
+
+
 def kernel_basis(n: int, K: int) -> list[TransversalDist]:
-    """Exact basis of {psi : delta order <= K, equivariance defect = 0},
-    echelonized on the top ladder coefficients a_{n,0..K}."""
+    """Exact basis of {psi : delta order <= K, equivariance defect = 0} in
+    top-echelon form: element j reads a_{n,j} = 1 and a_{n,j'} = 0 for the
+    other j'.  The top coordinates come last, in decreasing k, so the
+    nullspace vectors, reversed, are that basis."""
     if n < 0 or K < 0:
         raise ValueError("n and K must be natural numbers")
-    coords = [(i, k) for i in range(n + 1) for k in range(K + 1)]
+    coords = [(i, k) for i in range(n) for k in range(K + 1)]
+    coords += [(n, k) for k in range(K, -1, -1)]
     vectors = _nullspace(_equivariance_rows(n, coords), len(coords))
-    dists = [TransversalDist(n, {coords[p]: v for p, v in enumerate(vec) if v})
-             for vec in vectors]
-    return _echelonize_top(dists)
+    basis = [TransversalDist(n, {coords[p]: v for p, v in vec.items()})
+             for vec in reversed(vectors)]
+    if any(equivariance_defect(psi) for psi in basis):
+        raise ArithmeticError(f"kernel basis left the invariant kernel for n={n}")
+    return basis
 
 
 def casimir_orbit(n: int, K: int) -> list[TransversalDist]:
@@ -242,8 +238,7 @@ def casimir_orbit(n: int, K: int) -> list[TransversalDist]:
         raise ValueError("n and K must be natural numbers")
     out = []
     cur = delta_seed(n)
-    count = K + 1 if n % 2 == 0 else (n + 1) // 2
-    for _ in range(count):
+    for _ in range(predicted_orbit_length(n, K)):
         if not cur:
             raise ArithmeticError(f"Casimir orbit died early for n={n}")
         if equivariance_defect(cur):
@@ -285,26 +280,21 @@ def change_of_basis(n: int, K: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def solve_polynomial(n: int, p: CasimirPolynomial, K: int) -> list[TransversalDist]:
     """Exact basis of the order-bounded invariant solutions of p applied to
-    the radial Casimir.  The polynomial image is computed in full (its order
-    may exceed K); the equation must hold identically."""
-    basis = kernel_basis(n, K)
-    if not basis:
-        return []
-    images = [p.apply(b) for b in basis]
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for j, image in enumerate(images):
-        for key, coeff in image.terms.items():
-            rows.setdefault(key, {})[j] = coeff
-    row_list = [rows[key] for key in sorted(rows)]
-    vectors = _nullspace(row_list, len(basis))
+    the radial Casimir, in top-echelon form: each solution reads 1 at its
+    lead (its lowest j with a_{n,j} != 0) and 0 at the other solutions'
+    leads.  Kernel element j has top coefficients e_j, so taking the
+    elements in decreasing j makes the reversed nullspace vectors that
+    basis.  The polynomial image is computed in full (its order may exceed
+    K); the equation must hold identically."""
+    columns = kernel_basis(n, K)[::-1]
+    vectors = _nullspace(_rows(p.apply(b).terms.items() for b in columns), len(columns))
     sols = []
-    for vec in vectors:
+    for vec in reversed(vectors):
         acc = TransversalDist(n, {})
-        for j, c in enumerate(vec):
-            if c:
-                acc = acc + c * basis[j]
+        for col, c in vec.items():
+            acc = acc + c * columns[col]
         sols.append(acc)
-    return _echelonize_top(sols) if sols else []
+    return sols
 
 
 def predicted_solve_dim(n: int, p: CasimirPolynomial, K: int) -> int:

@@ -1,7 +1,7 @@
 """Exact delta calculus on the transversal line through the base cone point.
 
 A distribution here is a finite sum  psi(y) = sum a_{i,k} delta^{(k)}(y) (x) v_i
-supported at y = 0, with Fraction coefficients, v_i the ladder basis of the
+supported at y = 0, with rational coefficients, v_i the ladder basis of the
 weight-n module, and delta normalized so that pairing delta against g gives
 g(0).  The whole local classification reduces to linear algebra on these
 sums: psi is the restriction of a locally invariant distribution exactly
@@ -26,12 +26,26 @@ from fractions import Fraction
 from .sl2 import EndMatrix
 
 
+_ZERO = Fraction(0)
+
+
+def _exact(value):
+    """value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class TransversalDist:
     """Sparse exact combination of delta derivatives tensor ladder vectors.
 
-    terms maps (i, k) -> Fraction with 0 <= i <= n and k >= 0; zero
-    coefficients are never stored.  Instances are treated as immutable
-    values: every operation returns a fresh one.
+    terms maps (i, k) -> coefficient with 0 <= i <= n and k >= 0; zero
+    coefficients are never stored.  A coefficient is stored as an int when
+    it is integral and as a Fraction otherwise, so that the integer
+    coefficients of the kernel and of the Casimir orbit take int arithmetic.
+    Instances are treated as immutable values: every operation returns a
+    fresh one.
     """
 
     __slots__ = ("n", "terms")
@@ -41,7 +55,7 @@ class TransversalDist:
             raise ValueError("n must be a natural number")
         clean: dict[tuple[int, int], Fraction] = {}
         for (i, k), coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
+            coeff = _exact(coeff)
             if not coeff:
                 continue
             if not (0 <= i <= n) or k < 0:
@@ -61,7 +75,7 @@ class TransversalDist:
         self._check(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
+            out[key] = out.get(key, 0) + coeff
         return TransversalDist(self.n, out)
 
     def __sub__(self, other: "TransversalDist") -> "TransversalDist":
@@ -71,7 +85,7 @@ class TransversalDist:
         return TransversalDist(self.n, {key: -c for key, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "TransversalDist":
-        scalar = Fraction(scalar)
+        scalar = _exact(scalar)
         return TransversalDist(self.n, {key: scalar * c for key, c in self.terms.items()})
 
     __mul__ = __rmul__
@@ -81,7 +95,8 @@ class TransversalDist:
         return f"TransversalDist(n={self.n}, {{{inner}}})"
 
     def coefficient(self, i: int, k: int) -> Fraction:
-        return self.terms.get((i, k), Fraction(0))
+        c = self.terms.get((i, k))
+        return _ZERO if c is None else Fraction(c)
 
     def delta_order(self):
         """Highest stored delta derivative order; -inf for the zero distribution."""
@@ -135,7 +150,7 @@ def mul_y(psi: TransversalDist) -> TransversalDist:
         if k == 0:
             continue
         key = (i, k - 1)
-        out[key] = out.get(key, Fraction(0)) - k * c
+        out[key] = out.get(key, 0) - k * c
     return TransversalDist(psi.n, out)
 
 
@@ -207,18 +222,16 @@ def radial_mn(psi: TransversalDist) -> TransversalDist:
     The reduction substitutes the invariance relations for the flow
     derivatives, so it is only valid on locally invariant input; anything
     with a nonzero equivariance defect is rejected.
+
+    Since [d/dy, y] = 1,
+
+        (rho(X) + y*rho(Y)) d/dy + rho(Y) = d/dy (rho(X) + y*rho(Y)),
+
+    so the operator is d/dy of the equivariance defect.  On every input it
+    accepts it returns zero, and acceptance criterion 7 (radial_mn
+    preserves invariance) holds trivially.
     """
-    if equivariance_defect(psi):
+    defect = equivariance_defect(psi)
+    if defect:
         raise ValueError("radial_mn requires a locally invariant distribution")
-    n = psi.n
-
-    def contributions():
-        # (rho(X) + y*rho(Y)) d/dy sends a*delta^k (x) v_i to a*delta^{k+1} (x) v_{i+1}
-        # and -(k+1)(n-i+1)i*a*delta^k (x) v_{i-1}; rho(Y) adds (n-i+1)i*a there.
-        for (i, k), c in psi.terms.items():
-            if i < n:
-                yield (i + 1, k + 1), c
-            if i and k:
-                yield (i - 1, k), -k * (n - i + 1) * i * c
-
-    return _collect(n, contributions())
+    return d_dy(defect)

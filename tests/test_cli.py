@@ -1,5 +1,6 @@
 """Command-line contract: parsing, exit codes, stable JSON."""
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -36,6 +37,23 @@ def test_parse_poly_rejects(bad):
         parse_poly(bad)
 
 
+@pytest.mark.parametrize("text", ["t^65", "t^65+t^2", "t^99999999999"])
+def test_parse_poly_rejects_degree_over_cap(text):
+    with pytest.raises(UsageError, match="at most 64"):
+        parse_poly(text)
+
+
+def test_size_validators_reject_values_over_cap():
+    assert cli._natural("64") == cli.SIZE_CAP == 64
+    assert cli._grid_size("512") == cli.GRID_CAP == 512
+    for text in ("65", "99999999999"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._natural(text)
+    for text in ("513", "99999999999"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._grid_size(text)
+
+
 # -- exit codes ---------------------------------------------------------------
 
 
@@ -65,6 +83,11 @@ def test_exit_one_on_usage_errors():
     ["numcheck", "--kind", "obstruction", "--n", "1", "--grid", "1"],
     ["numcheck", "--kind", "pairing", "--sigma", "nan"],
     ["supp0-dims", "--n", "x"],
+    ["kernel", "--n", "65", "--max-order", "3"],
+    ["orbit", "--n", "3", "--max-order", "99999999999"],
+    ["classify", "--n", "2", "--max-degree", "65"],
+    ["solve", "--n", "3", "--poly", "t^99999999999"],
+    ["numcheck", "--kind", "pairing", "--grid", "513"],
 ])
 def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
     assert run(argv) == 1

@@ -1,17 +1,24 @@
 """Kernel bases, Casimir orbits and the classification tables, all exact."""
 
+import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nilcone.solver import (CasimirPolynomial, GlobalQuery, casimir_orbit,
+from nilcone.solver import (CasimirPolynomial, GlobalQuery, _nullspace, casimir_orbit,
                             change_of_basis, classify_global,
                             classify_square_finite_supported, kernel_basis,
                             predicted_kernel_dim, predicted_solve_dim,
                             solve_polynomial)
 from nilcone.transversal import (TransversalDist, delta_seed, equivariance_defect,
                                  radial_casimir)
+
+LOCAL_GOLDEN = Path(__file__).parent / "golden" / "local_bases.json"
 
 
 def diag_product(n: int, k: int) -> Fraction:
@@ -26,6 +33,50 @@ def random_invariant(n: int, K: int, rng: random.Random) -> TransversalDist:
     for b in kernel_basis(n, K):
         acc = acc + Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * b
     return acc
+
+
+def dense_rank(rows, ncols: int) -> int:
+    """Rank by plain dense Gaussian elimination over Fractions."""
+    mat = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            factor = mat[r][col] / mat[rank][col]
+            mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+# -- _nullspace ---------------------------------------------------------------
+
+
+sparse_rows = st.integers(1, 7).flatmap(lambda ncols: st.tuples(
+    st.just(ncols),
+    st.lists(st.dictionaries(st.integers(0, ncols - 1),
+                             st.one_of(st.integers(-3, 3),
+                                       st.fractions(-4, 4, max_denominator=5))
+                             .filter(bool),
+                             max_size=3), max_size=7)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows)
+def test_nullspace_is_the_reduced_echelon_kernel(case):
+    ncols, rows = case
+    vectors = _nullspace([dict(row) for row in rows], ncols)
+    assert len(vectors) == ncols - dense_rank(rows, ncols)
+    # vector f is 1 at free column f, its highest entry, and 0 at the others
+    free = [max(vec) for vec in vectors]
+    assert free == sorted(set(free))
+    for vec, f in zip(vectors, free):
+        assert all(vec.values())
+        assert [vec.get(g, 0) for g in free] == [int(g == f) for g in free]
+        for row in rows:
+            assert sum(Fraction(v) * vec.get(c, 0) for c, v in row.items()) == 0
 
 
 # -- kernel_basis ------------------------------------------------------------
@@ -58,6 +109,22 @@ def test_kernel_elements_are_invariant_and_echelonized():
                 assert psi.coefficient(n, jp) == (1 if jp == j else 0)
 
 
+def test_solutions_are_invariant_and_echelonized():
+    # a solution's lead is its lowest j with a_{n,j} != 0; it reads 1 there,
+    # the other solutions read 0 there, and the leads increase
+    polys = [CasimirPolynomial((0,)), CasimirPolynomial((0, 0)),
+             CasimirPolynomial((0, 1)), CasimirPolynomial((0, Fraction(-2, 3), 0))]
+    for n, K, p in itertools.product(range(1, 12, 2), (2, 6), polys):
+        sols = solve_polynomial(n, p, K)
+        leads = [min(k for (i, k) in psi.terms if i == n) for psi in sols]
+        assert leads == sorted(set(leads))
+        for psi in sols:
+            assert not equivariance_defect(psi)
+            assert not p.apply(psi)
+            for phi, other in zip(sols, leads):
+                assert psi.coefficient(n, other) == (1 if phi is psi else 0)
+
+
 def test_kernel_odd_vanishing_pattern():
     # every odd-n invariant has a_{2i-1,k} = 0 for k >= i >= 1
     for n in (3, 5, 7):
@@ -76,6 +143,25 @@ def test_kernel_recurrence_on_random_elements():
                 for k in range(8):
                     assert psi.coefficient(i - 1, k) == \
                         (k + 1) * (i + 1) * (n - i) * psi.coefficient(i + 1, k + 1)
+
+
+def local_bases_text() -> str:
+    """The golden file's text: one JSON line per kernel_basis(n, K), n <= 9,
+    K <= 6, then per solve_polynomial(n, p, 6), n <= 9, for p in t, t^2,
+    t^2 + t, t + 1 and t^3."""
+    entries = [{"query": "kernel_basis", "n": n, "K": K,
+                "basis": [b.to_record() for b in kernel_basis(n, K)]}
+               for n in range(10) for K in range(7)]
+    for lower in ((0,), (0, 0), (0, 1), (1,), (0, 0, 0)):
+        p = CasimirPolynomial(lower)
+        entries += [{"query": "solve_polynomial", "n": n, "K": 6, "poly": str(p),
+                     "basis": [b.to_record() for b in solve_polynomial(n, p, 6)]}
+                    for n in range(10)]
+    return "[\n" + ",\n".join(json.dumps(e, sort_keys=True) for e in entries) + "\n]\n"
+
+
+def test_local_bases_match_golden_file():
+    assert local_bases_text() == LOCAL_GOLDEN.read_text()
 
 
 # -- casimir_orbit / change_of_basis ----------------------------------------

@@ -168,6 +168,14 @@ def test_serialization_round_trip_is_bit_exact(psi):
     assert rec["terms"] == sorted(rec["terms"], key=lambda t: (t["i"], t["k"]))
 
 
+def test_integral_coefficients_are_stored_as_ints():
+    psi = TransversalDist(2, {(0, 0): Fraction(6, 3), (1, 1): Fraction(1, 2), (2, 2): 3})
+    assert [type(c) for _, c in sorted(psi.terms.items())] == [int, Fraction, int]
+    assert type((2 * psi).terms[(1, 1)]) is int
+    assert psi.coefficient(0, 0) == 2 and type(psi.coefficient(0, 0)) is Fraction
+    assert psi == TransversalDist(2, {(0, 0): 2, (1, 1): Fraction(1, 2), (2, 2): Fraction(3)})
+
+
 def test_serialization_renders_fraction_strings():
     psi = TransversalDist(2, {(1, 0): Fraction(-3, 7), (2, 4): 2})
     rec = psi.to_record()
@@ -208,6 +216,7 @@ any_dist = st.integers(0, 13).flatmap(lambda n: dist_strategy(n, max_order=8))
 def test_ladder_operators_match_dense_definitions(psi):
     assert equivariance_defect(psi) == dense_defect(psi)
     assert radial_casimir(psi) == dense_casimir(psi)
+    assert d_dy(dense_defect(psi)) == dense_mn(psi)
 
 
 def test_radial_mn_matches_dense_definition():
