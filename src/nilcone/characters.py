@@ -7,6 +7,12 @@ pieces of the space of invariant distributions supported at the origin.
 Everything is integer-exact; decomposition into irreducibles is done by
 peeling off highest weights, which is independently checkable by brute
 force enumeration of weight multisets (see sym_power_brute).
+
+invariant_dim serves those counts from their closed form (Sym^m(V_2) is
+the sum of V_{2m-4j} over 0 <= j <= m/2); sym_power, sym_power_brute and
+decompose_into_irreducibles stay as the generic computation that certifies
+it, in acceptance criterion 6 (n <= 10, m <= 20) and in
+test_invariant_dim_examples of tests/test_characters.py (n <= 66, m <= 32).
 """
 
 from __future__ import annotations
@@ -166,8 +172,14 @@ def sym_power_brute(m: int, c: Character) -> Character:
 def invariant_dim(n: int, m: int) -> int:
     """Multiplicity of the weight-n irreducible inside the m-th symmetric
     power of the adjoint module: the dimension of the degree-m graded piece
-    of invariant distributions supported at the origin with values there."""
+    of invariant distributions supported at the origin with values there.
+
+    Closed form: Sym^m(V_2) is the sum of V_{2m-4j} over 0 <= j <= m/2,
+    each once, so the multiplicity is 1 exactly when n <= 2m and 4 divides
+    2m - n (which forces n even), and 0 otherwise.  Acceptance criterion 6
+    and test_invariant_dim_examples check it against
+    decompose_into_irreducibles(sym_power(m, adjoint_character())).
+    """
     if n < 0 or m < 0:
         raise ValueError("n and m must be natural numbers")
-    pieces = decompose_into_irreducibles(sym_power(m, adjoint_character()))
-    return pieces.get(n, 0)
+    return 1 if n <= 2 * m and (2 * m - n) % 4 == 0 else 0

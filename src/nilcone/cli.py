@@ -10,6 +10,7 @@ build-breaking defect).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -438,7 +439,10 @@ def _cmd_numcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, since every parse_args call fills a fresh namespace."""
     parser = _Parser(prog="nilcone",
                      description="Exact classification of invariant distributions "
                                  "supported on the nilpotent cone of sl(2,R), with "

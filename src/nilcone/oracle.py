@@ -19,7 +19,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+
+class _Numpy:
+    """Stands in for the numpy module until the first numeric call, so that
+    importing this module, and with it the package and its symbolic
+    commands, does not load numpy."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 _AXES = ("h", "x", "y")
 

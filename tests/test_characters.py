@@ -84,6 +84,11 @@ def test_invariant_dim_examples():
         assert invariant_dim(0, m) == (1 if m % 2 == 0 else 0)
         assert invariant_dim(1, m) == 0
     assert invariant_dim(2, 1) == 1
+    # the closed form against the generic decomposition, past the CLI's cap of 64 on n
+    for m in range(33):
+        pieces = decompose_into_irreducibles(sym_power(m, adjoint_character()))
+        for n in range(67):
+            assert invariant_dim(n, m) == pieces.get(n, 0), (n, m)
 
 
 def test_invariant_dim_positive_needs_even_n():

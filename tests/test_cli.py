@@ -1,10 +1,18 @@
 """Command-line contract: parsing, exit codes, stable JSON."""
 
 import argparse
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nilcone.cli as cli
 import nilcone.solver as solver
@@ -97,6 +105,80 @@ def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
     assert len(lines) == 1, captured.err
     assert lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+# Sizes stay cheap to run (n <= 8, degree <= 12); the other values are over the
+# caps or malformed, so the validator rejects them before any command runs.
+_SIZE = st.one_of(st.integers(0, 8).map(str),
+                  st.sampled_from(["-1", "65", "99999999999", "x", "2.5", ""]))
+_DEGREE = st.one_of(st.integers(0, 12).map(str),
+                    st.sampled_from(["-3", "65", "99999999999", "t^2"]))
+_JUNK = st.sampled_from(["--bogus", "junk", "--n", "--max-degree", "--origin", "-1", "t^2"])
+_COMMON = [st.tuples(st.just("--n"), _SIZE),
+           st.tuples(st.just("--format"), st.sampled_from(["table", "json", "xml"]))]
+_OPTIONS = {
+    "irrep": _COMMON,
+    "supp0-dims": _COMMON + [st.tuples(st.just("--max-degree"), _DEGREE)],
+    "classify": _COMMON + [st.tuples(st.just("--max-degree"), _DEGREE)]
+    + [st.sampled_from([f"--{flag}", f"--no-{flag}"]).map(lambda token: (token,))
+       for flag in ("origin", "nplus", "nminus")],
+}
+
+
+@st.composite
+def _decision_table_argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    groups = draw(st.lists(st.one_of(_OPTIONS[command]), max_size=4))
+    tokens = ["--n", draw(_SIZE)] + [token for group in groups for token in group]
+    for junk in draw(st.lists(_JUNK, max_size=2)):
+        tokens.insert(draw(st.integers(0, len(tokens))), junk)
+    return [command] + tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decision_table_argv())
+def test_generated_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(["classify", "--n", "2", "--no-origin", "--max-degree", "4"]) == 0
+    assert run(["classify", "--n", "2", "--max-degree", "65"]) == 1
+    capsys.readouterr()
+    assert run(["classify", "--n", "2", "--format", "json"]) == 0
+    answer = json.loads(capsys.readouterr().out)["answer"]
+    assert answer["flags"]["origin"] is True
+    assert len(answer["supp0_graded_dims"]) == 13
+
+
+_WITHOUT_NUMPY = """
+import contextlib, io, sys
+sys.modules["numpy"] = None           # any import of numpy now raises ImportError
+import nilcone, nilcone.cli, nilcone.solver
+codes = []
+for argv in (["classify", "--n", "4", "--format", "json"], ["supp0-dims", "--n", "4"],
+             ["irrep", "--n", "3"], ["kernel", "--n", "2", "--max-order", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(nilcone.cli.main(argv))
+print(codes)
+"""
+
+
+def test_symbolic_commands_run_without_numpy():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0]"
+    import nilcone
+    assert nilcone.TestFunction.__module__ == "nilcone.oracle"
 
 
 def test_library_value_errors_exit_one(monkeypatch, capsys):
