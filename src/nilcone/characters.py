@@ -183,3 +183,23 @@ def invariant_dim(n: int, m: int) -> int:
     if n < 0 or m < 0:
         raise ValueError("n and m must be natural numbers")
     return 1 if n <= 2 * m and (2 * m - n) % 4 == 0 else 0
+
+
+def graded_dims_report(n: int, max_degree: int) -> dict:
+    """The supp0-dims command's record: invariant_dim(n, m) for m <= max_degree
+    next to the brute-force multiplicity of V_n in Sym^m(adj), with a PASS
+    verdict when the two agree and, for odd n, every dimension is zero."""
+    degrees = range(max_degree + 1)
+    dims = [invariant_dim(n, m) for m in degrees]
+    brute = [decompose_into_irreducibles(sym_power_brute(m, adjoint_character())).get(n, 0)
+             for m in degrees]
+    passed = dims == brute and (n % 2 == 0 or not any(dims))
+    return {
+        "command": "supp0-dims",
+        "n": n,
+        "max_degree": max_degree,
+        "graded_dims": dims,
+        "brute_force_dims": brute,
+        "verdict": "PASS" if passed else "FAIL",
+        "verdict_detail": "graded dimensions agree with brute-force enumeration",
+    }

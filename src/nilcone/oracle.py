@@ -10,7 +10,8 @@ integrals over the plane (with density factor 2), evaluated here by
 deterministic tensor-product quadrature.  Test functions are polynomial
 times Gaussian, so every derivative needed is available in closed form.
 Floats are confined to this module; nothing numeric flows back into the
-symbolic side.
+symbolic side.  The *_report functions at the end are the numcheck
+batteries, judged against the named thresholds defined beside them.
 """
 
 from __future__ import annotations
@@ -386,3 +387,103 @@ def odd_section_scale(n: int, f: TestFunction, grid: QuadratureGrid) -> float:
                                        * np.abs(h) ** al * x ** be * np.abs(y) ** ga * base)
             total += comp * comp
     return math.sqrt(total)
+
+
+# ---------------------------------------------------------------------------
+# the numcheck batteries: each returns its command's record, ending in a
+# PASS/FAIL verdict against the thresholds below
+
+INVARIANCE_TOL = 1e-6   # relative invariance residual at the finest grid
+ROUNDOFF = 1e-12        # relative size below which a quantity is roundoff
+CONTROL_MIN = 1e-3      # the parity-broken negative control must stay above this
+ROUTES_TOL = 1e-9       # relative gap between the midpoint and Gauss-Legendre pairings
+_RADIUS = 6.0           # grid radius, in Gaussian widths
+
+
+def invariance_report(n: int, grid: int, sigma: float) -> dict:
+    """Relative invariance residuals of the seeded pairing against a Gaussian
+    centred at x = 3, for H, X and Y on m x m grids, m = grid/4, grid/2 and
+    grid (at least 8); PASS when the worst residual at m = grid is below
+    INVARIANCE_TOL.  Even n only."""
+    if n % 2:
+        raise ValueError("invariance checks need even n")
+    func = TestFunction.gaussian(center=(0, 3, 0), sigma=sigma)
+    radius = _RADIUS * sigma
+    table = []
+    for m in (max(grid // 4, 8), max(grid // 2, 8), grid):
+        quad = QuadratureGrid(radius, m)
+        row = {"m": m}
+        pairing = seed_pairing(n, func, quad)
+        scale = math.sqrt(float(sum(v * v for v in pairing)))
+        for z in ("H", "X", "Y"):
+            resid = invariance_residual(n, z, func, quad)
+            row[z] = resid / scale if scale else float("inf")
+        table.append(row)
+    worst = max(table[-1][z] for z in ("H", "X", "Y"))
+    return {
+        "command": "numcheck", "kind": "invariance", "n": n,
+        "sigma": sigma, "radius": radius, "table": table,
+        "worst_relative_residual": worst,
+        "verdict": "PASS" if worst < INVARIANCE_TOL else "FAIL",
+        "verdict_detail": f"worst relative residual {worst:.3e} at m={grid}",
+    }
+
+
+def obstruction_report(n: int, grid: int, sigma: float) -> dict:
+    """Relative odd-section obstruction and its parity-broken negative
+    control against a Gaussian centred at x = 1; PASS when the obstruction
+    is roundoff (below ROUNDOFF) and the control exceeds CONTROL_MIN.
+    Odd n only."""
+    if n % 2 == 0:
+        raise ValueError("obstruction checks need odd n")
+    func = TestFunction.gaussian(center=(0, 1, 0), sigma=sigma)
+    quad = QuadratureGrid(_RADIUS * sigma, grid)
+    scale = odd_section_scale(n, func, quad)
+    value = odd_section_obstruction(n, func, quad)
+    control = odd_section_obstruction(n, func, quad, negative_control=True)
+    rel = value / scale if scale else float("inf")
+    rel_control = control / scale if scale else 0.0
+    return {
+        "command": "numcheck", "kind": "obstruction", "n": n,
+        "sigma": sigma, "grid": grid,
+        "relative_obstruction": rel, "relative_negative_control": rel_control,
+        "verdict": "PASS" if rel < ROUNDOFF and rel_control > CONTROL_MIN else "FAIL",
+        "verdict_detail": f"obstruction {rel:.3e}, negative control {rel_control:.3e}",
+    }
+
+
+def pairing_report(grid: int, sigma: float) -> dict:
+    """The half-cone pairing battery: the Casimir image of a Gaussian paired
+    by the midpoint and the Gauss-Legendre rule (relative gap below
+    ROUTES_TOL), a positive pairing, and two pairings that must vanish up
+    to ROUNDOFF, a Gaussian far off the cone and one times a polynomial
+    that annihilates the cone."""
+    func = TestFunction.gaussian(center=(0, 1, 0), sigma=sigma)
+    grid_mid = QuadratureGrid(_RADIUS * sigma, grid, "midpoint")
+    grid_gauss = QuadratureGrid(_RADIUS * sigma, max(grid * 3 // 4, 8), "gauss")
+    casimired = func.casimir()
+    route_a = pair_delta_nplus(casimired, grid_mid)
+    route_b = pair_delta_nplus(casimired, grid_gauss)
+    agreement = abs(route_a - route_b) / max(abs(route_a), abs(route_b), 1e-30)
+    positive = pair_delta_nplus(
+        TestFunction.gaussian(center=(0, 1, 0), sigma=sigma,
+                              poly={(0, 1, 0): 1, (0, 0, 1): -1}), grid_mid)
+    far = pair_delta_nplus(TestFunction.gaussian(center=(0, -5, 5), sigma=0.5), grid_mid)
+    support = pair_delta_nplus(
+        TestFunction.gaussian(center=(0, 1, 0), sigma=sigma,
+                              poly={(2, 0, 0): 1, (0, 1, 1): 1}), grid_mid)
+    negligible = ROUNDOFF * max(abs(pair_delta_nplus(func, grid_mid)), 1.0)
+    passed = (agreement < ROUTES_TOL and positive > 0
+              and abs(far) < negligible and abs(support) < negligible)
+    return {
+        "command": "numcheck", "kind": "pairing", "sigma": sigma, "grid": grid,
+        "two_route_agreement": agreement,
+        "casimir_pairing_midpoint": route_a,
+        "casimir_pairing_gauss": route_b,
+        "positive_pairing": positive,
+        "far_gaussian_pairing": far,
+        "cone_annihilator_pairing": support,
+        "tail_bound": tail_bound(func, grid_mid),
+        "verdict": "PASS" if passed else "FAIL",
+        "verdict_detail": f"two-route agreement {agreement:.3e}; support and decay checks",
+    }

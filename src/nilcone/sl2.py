@@ -3,10 +3,10 @@
 The Lie algebra is presented on the basis (H, X, Y) with [H,X] = 2X,
 [H,Y] = -2Y, [X,Y] = H.  The (n+1)-dimensional module is carried by the
 ladder basis (v_0, ..., v_n), v_i of H-weight -n+2i, with v_i the i-th
-raising image of the lowest weight vector.  All matrix entries are
-Fractions, so every identity asserted downstream is exact; n stays small
-(tens, not thousands), so the matrices are stored dense and multiplied
-sparsely.
+raising image of the lowest weight vector.  Matrix entries are exact (ints
+where integral, Fractions otherwise), so every identity asserted downstream
+is exact; n stays small (tens, not thousands), so the matrices are stored
+dense and multiplied sparsely.
 """
 
 from __future__ import annotations
@@ -16,14 +16,23 @@ from fractions import Fraction
 from functools import lru_cache
 
 
+def _exact(value):
+    """value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class EndMatrix:
-    """Square Fraction matrix acting on column coordinates in (v_0, ..., v_n)."""
+    """Square exact matrix acting on column coordinates in (v_0, ..., v_n);
+    integral entries are stored as ints, the others as Fractions."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows):
         dim = n + 1
-        rows = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        rows = tuple(tuple(_exact(v) for v in row) for row in rows)
         if len(rows) != dim or any(len(row) != dim for row in rows):
             raise ValueError(f"expected a {dim}x{dim} matrix for n={n}")
         self.n = n
@@ -53,7 +62,7 @@ class EndMatrix:
     def __mul__(self, other):
         if isinstance(other, EndMatrix):
             # Skips zero entries: the module matrices are diagonal or
-            # bidiagonal, so a product costs O(n) Fraction products, not O(n^3).
+            # bidiagonal, so a product costs O(n) scalar products, not O(n^3).
             self._check(other)
             dim = self.n + 1
             other_nonzero = [[(c, b) for c, b in enumerate(row) if b] for row in other.rows]
@@ -64,7 +73,8 @@ class EndMatrix:
                         for c, b in other_nonzero[j]:
                             out_row[c] += a * b
             return EndMatrix(self.n, out)
-        return EndMatrix(self.n, [[a * Fraction(other) for a in row] for row in self.rows])
+        scalar = _exact(other)
+        return EndMatrix(self.n, [[a * scalar for a in row] for row in self.rows])
 
     def __rmul__(self, scalar) -> "EndMatrix":
         return self.__mul__(scalar)
@@ -154,3 +164,39 @@ def casimir_scalar(rep: Irrep) -> Fraction:
 def expected_casimir(n: int) -> Fraction:
     """The Casimir eigenvalue n^2/2 + n on the weight-n irreducible."""
     return Fraction(n * n, 2) + n
+
+
+def _matrix_record(mat: EndMatrix) -> list[list[str]]:
+    return [[str(v) for v in row] for row in mat.rows]
+
+
+def irrep_report(n: int) -> dict:
+    """The irrep command's record: the module matrices, the Casimir scalar
+    and the exact structure checks ([H,X] = 2X, [H,Y] = -2Y, [X,Y] = H,
+    X and Y nilpotent of order n+1, Casimir scalar n^2/2 + n), with a PASS
+    verdict exactly when every check holds."""
+    rep = make_irrep(n)
+    checks = {
+        "commutator_hx": commutator(rep.rho_h, rep.rho_x) == 2 * rep.rho_x,
+        "commutator_hy": commutator(rep.rho_h, rep.rho_y) == (-2) * rep.rho_y,
+        "commutator_xy": commutator(rep.rho_x, rep.rho_y) == rep.rho_h,
+        "raising_nilpotent": (rep.rho_x ** (n + 1)).is_zero(),
+        "lowering_nilpotent": (rep.rho_y ** (n + 1)).is_zero(),
+    }
+    try:
+        scalar = casimir_scalar(rep)
+        checks["casimir_scalar"] = scalar == expected_casimir(n)
+    except ValueError:
+        scalar = None
+        checks["casimir_scalar"] = False
+    return {
+        "command": "irrep",
+        "n": n,
+        "rho_h": _matrix_record(rep.rho_h),
+        "rho_x": _matrix_record(rep.rho_x),
+        "rho_y": _matrix_record(rep.rho_y),
+        "casimir_scalar": str(scalar) if scalar is not None else None,
+        "checks": checks,
+        "verdict": "PASS" if all(checks.values()) else "FAIL",
+        "verdict_detail": f"module invariants for n={n}",
+    }

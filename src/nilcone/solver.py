@@ -7,7 +7,10 @@ casimir_orbit iterates the radial Casimir on the delta seed, which spans
 the same space (change_of_basis certifies that), and for odd n dies
 exactly after (n+1)/2 steps.  solve_polynomial intersects the kernel with
 a monic polynomial equation in the radial Casimir, with no truncation of
-the image.  classify_global renders the invariant-open-set decision table.
+the image.  classify_global renders the invariant-open-set decision table,
+and classify_square_finite_supported certifies it.  The *_report functions
+return the records of the kernel, orbit, solve and classify commands, each
+with its PASS/FAIL verdict.
 
 Nullspace computation is exact Gauss-Jordan over Fractions with
 deterministic pivoting, the pivot of each row being its lowest column.  The
@@ -22,6 +25,7 @@ top-echelon basis with no second elimination.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,10 +99,7 @@ class GlobalQuery:
 class GlobalAnswer:
     """Decision-table answer for cone-supported invariant distributions."""
 
-    n: int
-    contains_origin: bool
-    contains_n_plus: bool
-    contains_n_minus: bool
+    query: GlobalQuery
     dim_supp0_graded: tuple[int, ...]
     half_cone_plus_generators: str   # "countably-infinite" | "zero"
     half_cone_minus_generators: str
@@ -107,11 +108,11 @@ class GlobalAnswer:
 
     def to_record(self) -> dict:
         return {
-            "n": self.n,
+            "n": self.query.n,
             "flags": {
-                "origin": self.contains_origin,
-                "n_plus": self.contains_n_plus,
-                "n_minus": self.contains_n_minus,
+                "origin": self.query.contains_origin,
+                "n_plus": self.query.contains_n_plus,
+                "n_minus": self.query.contains_n_minus,
             },
             "supp0_graded_dims": list(self.dim_supp0_graded),
             "half_cone_generators": {
@@ -355,10 +356,7 @@ def classify_global(query: GlobalQuery, max_degree: int = 12) -> GlobalAnswer:
                        "solution already lives on the origin component")
     realizable = (not query.contains_origin) or (query.contains_n_plus and query.contains_n_minus)
     return GlobalAnswer(
-        n=n,
-        contains_origin=query.contains_origin,
-        contains_n_plus=query.contains_n_plus,
-        contains_n_minus=query.contains_n_minus,
+        query=query,
         dim_supp0_graded=dims,
         half_cone_plus_generators=plus,
         half_cone_minus_generators=minus,
@@ -367,39 +365,100 @@ def classify_global(query: GlobalQuery, max_degree: int = 12) -> GlobalAnswer:
     )
 
 
-_DEFAULT_POLYS = (
+# The certifying checks of classify_square_finite_supported: the local
+# equations p(C) psi = 0 it solves, at delta order <= _CERTIFY_ORDER, and the
+# degree of the origin tower it inspects.
+_CERTIFY_POLYS = (
     CasimirPolynomial((Fraction(-1),)),              # t - 1
     CasimirPolynomial((Fraction(0), Fraction(0))),   # t^2
     CasimirPolynomial((Fraction(0), Fraction(1))),   # t^2 + t
 )
+_CERTIFY_ORDER = 6
+_CERTIFY_DEGREE = 16
 
 
-def classify_square_finite_supported(n: int, query: GlobalQuery,
-                                     p: CasimirPolynomial | None = None,
-                                     K: int = 6, max_degree: int = 16) -> bool:
+@functools.cache
+def classify_square_finite_supported(query: GlobalQuery) -> bool:
     """True iff the only Casimir-finite invariant distribution supported on
     the cone over the given invariant open set is zero: always true, and
-    this function earns the answer by running the certifying checks.
+    this function earns the answer by running the certifying checks on the
+    decision table and the local equations.  Memoised per query.
 
-    Origin part: the graded dimensions must be nondecreasing two degrees
-    apart, the computable shadow of the Casimir acting injectively on the
-    origin tower.  Cone part, even n: the local polynomial equation must
-    have no nonzero solution.  Cone part, odd n: either the constant term
-    of p kills the local solutions, or the missing global section already
-    reports zero half-cone generators in the decision table.
+    Origin part: zero graded dimensions when the set omits the origin;
+    otherwise they must be nondecreasing two degrees apart, the computable
+    shadow of the Casimir acting injectively on the origin tower.  Odd n:
+    the missing global section must show as zero generators on both
+    half-cones.  Cone part: for even n, and for each p with a nonzero
+    constant term, the local polynomial equation must have no nonzero
+    solution.
     """
-    polys = (p,) if p is not None else _DEFAULT_POLYS
-    answer = classify_global(query, max_degree=max_degree)
-    ok = True
+    n = query.n
+    answer = classify_global(query, max_degree=_CERTIFY_DEGREE)
+    dims = answer.dim_supp0_graded
     if query.contains_origin:
-        dims = answer.dim_supp0_graded
-        ok &= all(dims[m] <= dims[m + 2] for m in range(len(dims) - 2))
+        ok = all(dims[m] <= dims[m + 2] for m in range(len(dims) - 2))
+    else:
+        ok = not any(dims)
+    if n % 2 == 1:
+        ok &= answer.half_cone_plus_generators == answer.half_cone_minus_generators == "zero"
     if query.contains_n_plus or query.contains_n_minus:
-        for poly in polys:
-            sols = solve_polynomial(n, poly, K)
+        for poly in _CERTIFY_POLYS:
             if n % 2 == 0 or poly.valuation() == 0:
-                ok &= not sols
-            else:
-                ok &= (answer.half_cone_plus_generators == "zero"
-                       and answer.half_cone_minus_generators == "zero")
-    return bool(ok)
+                ok &= not solve_polynomial(n, poly, _CERTIFY_ORDER)
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# command records: each ends in a PASS/FAIL verdict and its detail
+
+
+def _count_report(command: str, n: int, K: int, dists: list, predicted: int, *,
+                  count: str, listing: str, noun: str, **extra) -> dict:
+    """A record that lists dists and passes when there are as many as the
+    closed form predicts; count and listing name its keys."""
+    return {
+        "command": command,
+        "n": n,
+        "max_order": K,
+        **extra,
+        count: len(dists),
+        f"predicted_{count}": predicted,
+        listing: [dist.to_record() for dist in dists],
+        "verdict": "PASS" if len(dists) == predicted else "FAIL",
+        "verdict_detail": f"{noun} {len(dists)} vs predicted {predicted}",
+    }
+
+
+def kernel_report(n: int, K: int) -> dict:
+    """The kernel command's record: kernel_basis(n, K) against
+    predicted_kernel_dim(n, K)."""
+    return _count_report("kernel", n, K, kernel_basis(n, K), predicted_kernel_dim(n, K),
+                         count="dimension", listing="basis", noun="kernel dimension")
+
+
+def orbit_report(n: int, K: int) -> dict:
+    """The orbit command's record: casimir_orbit(n, K) against
+    predicted_orbit_length(n, K)."""
+    return _count_report("orbit", n, K, casimir_orbit(n, K), predicted_orbit_length(n, K),
+                         count="length", listing="elements", noun="orbit length")
+
+
+def solve_report(n: int, p: CasimirPolynomial, K: int) -> dict:
+    """The solve command's record: solve_polynomial(n, p, K) against
+    predicted_solve_dim(n, p, K)."""
+    return _count_report("solve", n, K, solve_polynomial(n, p, K), predicted_solve_dim(n, p, K),
+                         count="dimension", listing="basis", noun="solution dimension",
+                         poly=str(p))
+
+
+def classify_report(query: GlobalQuery, max_degree: int) -> dict:
+    """The classify command's record: the decision table up to max_degree,
+    with a PASS verdict when classify_square_finite_supported certifies it."""
+    finite = classify_square_finite_supported(query)
+    return {
+        "command": "classify",
+        "answer": classify_global(query, max_degree=max_degree).to_record(),
+        "square_finite_supported_only_zero": finite,
+        "verdict": "PASS" if finite else "FAIL",
+        "verdict_detail": "decision table consistent; Casimir-finite cone-supported space is zero",
+    }

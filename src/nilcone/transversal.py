@@ -23,18 +23,10 @@ import json
 import math
 from fractions import Fraction
 
-from .sl2 import EndMatrix
+from .sl2 import EndMatrix, _exact
 
 
 _ZERO = Fraction(0)
-
-
-def _exact(value):
-    """value as an int when it is integral, else as a Fraction."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
 
 
 class TransversalDist:

@@ -1,8 +1,10 @@
 """Acceptance suite: one test per stated guarantee, with its runtime budget.
 
 Each test prints a single PASS/FAIL line (visible under ``pytest -s``).
-Symbolic criteria are exact; the two numeric criteria carry the stated
-tolerances and nothing looser.
+Symbolic criteria are exact.  The numeric criteria assert the verdicts of
+the oracle's reports, whose thresholds are the named constants of
+nilcone.oracle; test_oracle_thresholds_are_the_stated_ones pins each to
+its stated value.
 """
 
 import json
@@ -11,14 +13,12 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from nilcone.characters import (adjoint_character, decompose_into_irreducibles,
                                 invariant_dim, irrep_character, sym_power,
                                 sym_power_brute)
-from nilcone.oracle import (QuadratureGrid, TestFunction, invariance_residual,
-                            odd_section_obstruction, odd_section_scale, seed_pairing)
-from nilcone.sl2 import casimir_scalar, commutator, expected_casimir, make_irrep
+from nilcone.oracle import (CONTROL_MIN, INVARIANCE_TOL, ROUNDOFF, ROUTES_TOL,
+                            invariance_report, obstruction_report)
+from nilcone.sl2 import irrep_report
 from nilcone.solver import (CasimirPolynomial, GlobalQuery, change_of_basis,
                             classify_global, classify_square_finite_supported,
                             kernel_basis, predicted_kernel_dim, solve_polynomial)
@@ -54,16 +54,10 @@ def test_criterion_01_representation_exactness():
     started = time.perf_counter()
     violations = []
     for n in range(17):
-        rep = make_irrep(n)
-        if commutator(rep.rho_h, rep.rho_x) != 2 * rep.rho_x:
-            violations.append(("hx", n))
-        if commutator(rep.rho_h, rep.rho_y) != (-2) * rep.rho_y:
-            violations.append(("hy", n))
-        if commutator(rep.rho_x, rep.rho_y) != rep.rho_h:
-            violations.append(("xy", n))
-        if casimir_scalar(rep) != expected_casimir(n):
-            violations.append(("casimir", n))
-    _finish(1, "structure relations and Casimir scalar, n <= 16, exact",
+        report = irrep_report(n)
+        if report["verdict"] != "PASS":
+            violations.append((n, [name for name, ok in report["checks"].items() if not ok]))
+    _finish(1, "structure relations, nilpotency and Casimir scalar, n <= 16, exact",
             started, 1.0, violations)
 
 
@@ -192,40 +186,38 @@ def test_criterion_07_mixed_operator_radial_part():
 def test_criterion_08_numeric_invariance():
     started = time.perf_counter()
     violations = []
-    sigma = 0.6
-    radius = 6 * sigma
-    floor = 1e-12
-    func = TestFunction.gaussian(center=(0, 3, 0), sigma=sigma)
     for n in (0, 2):
+        report = invariance_report(n, 256, 0.6)
+        if report["verdict"] != "PASS":
+            violations.append(("tolerance", n, report["worst_relative_residual"]))
+        if [row["m"] for row in report["table"]] != [64, 128, 256]:
+            violations.append(("grids", n, report["table"]))
         for z in ("H", "X", "Y"):
-            rels = []
-            for m in (64, 128, 256):
-                grid = QuadratureGrid(radius, m)
-                scale = float(np.linalg.norm(seed_pairing(n, func, grid)))
-                rels.append(invariance_residual(n, z, func, grid) / scale)
-            if rels[2] >= 1e-6:
-                violations.append(("tolerance", n, z, rels[2]))
-            if rels[1] > max(rels[0], floor) or rels[2] > max(rels[1], floor):
+            rels = [row[z] for row in report["table"]]
+            if rels[1] > max(rels[0], ROUNDOFF) or rels[2] > max(rels[1], ROUNDOFF):
                 violations.append(("not-decreasing", n, z, rels))
-    _finish(8, "invariance residual < 1e-6 relative at m=256 and shrinking to the roundoff floor",
-            started, 60.0, violations)
+    _finish(8, "invariance residual below INVARIANCE_TOL at m=256 and shrinking to the "
+            "roundoff floor", started, 60.0, violations)
 
 
 def test_criterion_09_odd_obstruction():
     started = time.perf_counter()
     violations = []
-    func = TestFunction.gaussian(center=(0, 1, 0), sigma=1.0)
-    grid = QuadratureGrid(6.0, 128)
     for n in (1, 3):
-        scale = odd_section_scale(n, func, grid)
-        rel = odd_section_obstruction(n, func, grid) / scale
-        control = odd_section_obstruction(n, func, grid, negative_control=True) / scale
-        if rel >= 1e-12:
-            violations.append(("obstruction", n, rel))
-        if control <= 1e-3:
-            violations.append(("control", n, control))
-    _finish(9, "odd-section obstruction < 1e-12 relative, negative control > 1e-3",
-            started, 10.0, violations)
+        report = obstruction_report(n, 128, 1.0)
+        if report["verdict"] != "PASS":
+            violations.append((n, report["relative_obstruction"],
+                               report["relative_negative_control"]))
+    _finish(9, "odd-section obstruction below ROUNDOFF relative, negative control above "
+            "CONTROL_MIN", started, 10.0, violations)
+
+
+def test_oracle_thresholds_are_the_stated_ones():
+    """Each numeric criterion states its threshold; loosening one fails here."""
+    assert INVARIANCE_TOL == 1e-6      # criterion 8: relative residual at m = 256
+    assert ROUNDOFF == 1e-12           # criterion 9: relative obstruction; criterion 8 floor
+    assert CONTROL_MIN == 1e-3         # criterion 9: negative control
+    assert ROUTES_TOL == 1e-9          # numcheck pairing: midpoint against Gauss-Legendre
 
 
 def test_criterion_10_decision_tables_golden():
@@ -244,7 +236,7 @@ def test_criterion_10_decision_tables_golden():
                                   "n_minus": minus},
                         "answer": classify_global(query, max_degree=golden["max_degree"]).to_record(),
                         "square_finite_supported_only_zero":
-                            classify_square_finite_supported(n, query),
+                            classify_square_finite_supported(query),
                     })
     generated = json.dumps({"max_degree": golden["max_degree"], "entries": entries},
                            sort_keys=True, indent=2)

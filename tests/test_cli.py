@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,8 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nilcone.cli as cli
+import nilcone.oracle as oracle
 import nilcone.solver as solver
 from nilcone.cli import UsageError, main, parse_poly
+
+CLI_GOLDEN = Path(__file__).parent / "golden" / "cli_reports.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -39,7 +44,8 @@ def test_parse_poly_examples():
     assert parse_poly("-t+t^2").lower_coeffs == (Fraction(0), Fraction(-1))
 
 
-@pytest.mark.parametrize("bad", ["2*t^2", "5", "q+1", "t^", "t^x", "", "t^2++1", "3/"])
+@pytest.mark.parametrize("bad", ["2*t^2", "5", "q+1", "t^", "t^x", "", "t^2++1", "3/",
+                                 "t+3*", "t^2-1/2*", "t+1/0", "0/0*t"])
 def test_parse_poly_rejects(bad):
     with pytest.raises(UsageError):
         parse_poly(bad)
@@ -96,6 +102,7 @@ def test_exit_one_on_usage_errors():
     ["classify", "--n", "2", "--max-degree", "65"],
     ["solve", "--n", "3", "--poly", "t^99999999999"],
     ["numcheck", "--kind", "pairing", "--grid", "513"],
+    ["solve", "--n", "3", "--poly", "t+1/0"],
 ])
 def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
     assert run(argv) == 1
@@ -107,36 +114,56 @@ def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
     assert "Traceback" not in captured.err
 
 
-# Sizes stay cheap to run (n <= 8, degree <= 12); the other values are over the
-# caps or malformed, so the validator rejects them before any command runs.
-_SIZE = st.one_of(st.integers(0, 8).map(str),
-                  st.sampled_from(["-1", "65", "99999999999", "x", "2.5", ""]))
-_DEGREE = st.one_of(st.integers(0, 12).map(str),
-                    st.sampled_from(["-3", "65", "99999999999", "t^2"]))
+# Sizes stay cheap to run (n, --max-order <= 8, degree <= 12, --grid <= 32); the
+# other values are over the caps or malformed, so the validator rejects them
+# before any command runs.
+def _option(flag, values):
+    return st.tuples(st.just(flag), values)
+
+
+def _size(bound, bad):
+    return st.one_of(st.integers(0, bound).map(str), st.sampled_from(bad))
+
+
+_N = _option("--n", _size(8, ["-1", "65", "99999999999", "x", "2.5", ""]))
+_FORMAT = _option("--format", st.sampled_from(["table", "json", "xml"]))
+_MAX_DEGREE = _option("--max-degree", _size(12, ["-3", "65", "99999999999", "t^2"]))
+_MAX_ORDER = _option("--max-order", _size(8, ["-1", "65", "99999999999", "x"]))
+_POLY = _option("--poly", st.sampled_from(["t", "t^2", "t^2+t", "t-1", "t^3-3/2*t+1",
+                                           "2*t", "t+3*", "t^65", "", "q+1"]))
+_KIND = _option("--kind", st.sampled_from(["invariance", "obstruction", "pairing", "bogus"]))
+_GRID = _option("--grid", st.one_of(st.integers(2, 32).map(str),
+                                    st.sampled_from(["1", "513", "99999999999", "x"])))
+_SIGMA = _option("--sigma", st.sampled_from(["0.6", "0.75", "1.0", "-1", "0", "nan", "x"]))
+_FLAGS = [st.sampled_from([f"--{flag}", f"--no-{flag}"]).map(lambda token: (token,))
+          for flag in ("origin", "nplus", "nminus")]
 _JUNK = st.sampled_from(["--bogus", "junk", "--n", "--max-degree", "--origin", "-1", "t^2"])
-_COMMON = [st.tuples(st.just("--n"), _SIZE),
-           st.tuples(st.just("--format"), st.sampled_from(["table", "json", "xml"]))]
+# (options always drawn, options drawn at random) per command
 _OPTIONS = {
-    "irrep": _COMMON,
-    "supp0-dims": _COMMON + [st.tuples(st.just("--max-degree"), _DEGREE)],
-    "classify": _COMMON + [st.tuples(st.just("--max-degree"), _DEGREE)]
-    + [st.sampled_from([f"--{flag}", f"--no-{flag}"]).map(lambda token: (token,))
-       for flag in ("origin", "nplus", "nminus")],
+    "irrep": ([_N], [_FORMAT]),
+    "supp0-dims": ([_N], [_FORMAT, _MAX_DEGREE]),
+    "classify": ([_N], [_FORMAT, _MAX_DEGREE] + _FLAGS),
+    "kernel": ([_N, _MAX_ORDER], [_FORMAT]),
+    "orbit": ([_N, _MAX_ORDER], [_FORMAT]),
+    "solve": ([_N, _POLY], [_FORMAT, _MAX_ORDER]),
+    "numcheck": ([_KIND], [_FORMAT, _N, _GRID, _SIGMA]),
 }
 
 
 @st.composite
-def _decision_table_argv(draw):
+def _generated_argv(draw):
     command = draw(st.sampled_from(sorted(_OPTIONS)))
-    groups = draw(st.lists(st.one_of(_OPTIONS[command]), max_size=4))
-    tokens = ["--n", draw(_SIZE)] + [token for group in groups for token in group]
+    required, optional = _OPTIONS[command]
+    groups = [draw(option) for option in required]
+    groups += draw(st.lists(st.one_of(required + optional), max_size=4))
+    tokens = [token for group in groups for token in group]
     for junk in draw(st.lists(_JUNK, max_size=2)):
         tokens.insert(draw(st.integers(0, len(tokens))), junk)
     return [command] + tokens
 
 
-@settings(max_examples=300, deadline=None)
-@given(_decision_table_argv())
+@settings(max_examples=400, deadline=None)
+@given(_generated_argv())
 def test_generated_arguments_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -244,14 +271,47 @@ def test_supp0_json(capsys):
 def test_numcheck_obstruction_report(capsys):
     assert run(["numcheck", "--n", "1", "--kind", "obstruction", "--grid", "64",
                 "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["relative_obstruction"] < 1e-12
-    assert payload["relative_negative_control"] > 1e-3
+    assert json.loads(capsys.readouterr().out) == oracle.obstruction_report(1, 64, 0.75)
 
 
 def test_numcheck_pairing_report(capsys):
     assert run(["numcheck", "--kind", "pairing", "--grid", "96", "--sigma", "1.0",
                 "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["two_route_agreement"] < 1e-9
-    assert payload["positive_pairing"] > 0
+    assert json.loads(capsys.readouterr().out) == oracle.pairing_report(96, 1.0)
+
+
+def test_numcheck_invariance_report(capsys):
+    assert run(["numcheck", "--n", "2", "--kind", "invariance", "--grid", "64",
+                "--sigma", "0.6", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == oracle.invariance_report(2, 64, 0.6)
+
+
+# -- frozen output --------------------------------------------------------------
+
+
+def test_reports_match_the_frozen_output(capsys):
+    """Stdout and exit code, in both formats, of the symbolic README examples
+    and a few more commands, as frozen in tests/golden/cli_reports.json."""
+    for entry in json.loads(CLI_GOLDEN.read_text())["reports"]:
+        argv = entry["argv"] + ["--format", entry["format"]]
+        assert run(argv) == entry["exit_code"], argv
+        assert capsys.readouterr().out == entry["stdout"], argv
+
+
+def test_numcheck_examples_keep_their_keys_and_verdict(capsys):
+    """Floats may differ by platform, so only the key set and verdict are frozen."""
+    for entry in json.loads(CLI_GOLDEN.read_text())["numcheck"]:
+        assert run(entry["argv"] + ["--format", "json"]) == entry["exit_code"], entry["argv"]
+        record = json.loads(capsys.readouterr().out)
+        assert (sorted(record), record["verdict"]) == (entry["keys"], entry["verdict"])
+
+
+def test_frozen_output_covers_every_readme_example():
+    golden = json.loads(CLI_GOLDEN.read_text())
+    frozen = [entry["argv"] for entry in golden["reports"] + golden["numcheck"]]
+    for line in README.read_text().splitlines():
+        if line.startswith("nilcone "):
+            argv = shlex.split(line)[1:]
+            if "--format" in argv:
+                del argv[argv.index("--format"):argv.index("--format") + 2]
+            assert argv in frozen, line

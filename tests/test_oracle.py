@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcone.oracle import (QuadratureGrid, TestFunction, _ad_matrix, invariance_residual,
-                            lie_derivative, moment_map, odd_section_obstruction,
-                            odd_section_scale, pair_delta_nplus, seed_pairing,
-                            tail_bound)
+from nilcone.oracle import (CONTROL_MIN, ROUNDOFF, QuadratureGrid, TestFunction, _ad_matrix,
+                            invariance_report, invariance_residual, lie_derivative,
+                            moment_map, odd_section_obstruction, odd_section_scale,
+                            pair_delta_nplus, seed_pairing, tail_bound)
 
 
 def test_moment_map_basis_images():
@@ -115,7 +115,7 @@ def test_pairing_annihilates_cone_equation_factor():
                               poly={(2, 0, 0): 1, (0, 1, 1): 1})    # h^2 + xy
     base = pair_delta_nplus(TestFunction.gaussian(center=(0, 1, 0), sigma=1.0),
                             QuadratureGrid(6.0, 96))
-    assert abs(pair_delta_nplus(f, QuadratureGrid(6.0, 96))) < 1e-12 * abs(base)
+    assert abs(pair_delta_nplus(f, QuadratureGrid(6.0, 96))) < ROUNDOFF * abs(base)
 
 
 def test_pairing_is_linear():
@@ -220,7 +220,7 @@ def test_obstruction_negative_control_is_visible():
     grid = QuadratureGrid(6.0, 96)
     for n in (1, 3):
         control = odd_section_obstruction(n, f, grid, negative_control=True)
-        assert control > 1e-3 * odd_section_scale(n, f, grid)
+        assert control > CONTROL_MIN * odd_section_scale(n, f, grid)
 
 
 def test_obstruction_rejects_even():
@@ -228,3 +228,9 @@ def test_obstruction_rejects_even():
         odd_section_obstruction(2, TestFunction.gaussian(sigma=1.0), QuadratureGrid(6.0, 16))
     with pytest.raises(ValueError):
         odd_section_scale(2, TestFunction.gaussian(sigma=1.0), QuadratureGrid(6.0, 16))
+
+
+def test_invariance_verdict_fails_on_an_unconverged_grid():
+    coarse, fine = invariance_report(2, 32, 0.6), invariance_report(2, 64, 0.6)
+    assert [row["m"] for row in coarse["table"]] == [8, 16, 32]
+    assert (coarse["verdict"], fine["verdict"]) == ("FAIL", "PASS")

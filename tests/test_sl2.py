@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilcone.sl2 as sl2
 from nilcone.sl2 import (EndMatrix, casimir_scalar, commutator, expected_casimir,
                          make_irrep)
 
@@ -56,6 +57,17 @@ def test_casimir_scalar_rejects_corrupted_module():
     broken = type(rep)(2, rep.rho_h, rep.rho_x, rep.rho_x)  # lowering replaced by raising
     with pytest.raises(ValueError):
         casimir_scalar(broken)
+
+
+def test_irrep_report_fails_on_a_corrupted_module(monkeypatch):
+    rep = make_irrep(2)
+    broken = type(rep)(2, rep.rho_h, rep.rho_x, rep.rho_x)  # lowering replaced by raising
+    monkeypatch.setattr(sl2, "make_irrep", lambda n: broken)
+    report = sl2.irrep_report(2)
+    assert report["verdict"] == "FAIL"
+    assert report["casimir_scalar"] is None
+    assert [name for name, ok in report["checks"].items() if not ok] == [
+        "commutator_hy", "commutator_xy", "casimir_scalar"]
 
 
 @pytest.mark.parametrize("n", range(17))
@@ -112,3 +124,15 @@ def test_sparse_product_matches_triple_loop(pair):
     dense = [[sum((a.rows[i][j] * b.rows[j][c] for j in range(dim)), Fraction(0))
               for c in range(dim)] for i in range(dim)]
     assert a * b == EndMatrix(a.n, dense)
+
+
+def test_integral_entries_are_stored_as_ints():
+    rep = make_irrep(3)
+    assert {type(v) for mat in (rep.rho_h, rep.rho_x, rep.rho_y)
+            for row in mat.rows for v in row} == {int}
+    half = Fraction(1, 2) * rep.rho_h
+    assert [type(v) for v in half.rows[0]] == [Fraction, int, int, int]
+    assert [str(v) for v in half.rows[0]] == ["-3/2", "0", "0", "0"]
+    assert [type(v) for v in (4 * half).rows[0]] == [int] * 4
+    assert EndMatrix(0, [[Fraction(6, 3)]]).rows == ((2,),)
+    assert type(EndMatrix(0, [[Fraction(6, 3)]]).rows[0][0]) is int

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilcone.solver as solver
 from nilcone.solver import (CasimirPolynomial, GlobalQuery, _nullspace, casimir_orbit,
                             change_of_basis, classify_global,
                             classify_square_finite_supported, kernel_basis,
@@ -310,10 +312,32 @@ def test_classify_global_invariants():
 
 
 def test_square_finite_supported_examples():
-    everywhere = GlobalQuery(2, True, True, True)
-    assert classify_square_finite_supported(2, everywhere)
-    assert classify_square_finite_supported(
-        3, GlobalQuery(3, True, True, True), p=CasimirPolynomial((0, 0)))
-    assert classify_square_finite_supported(0, GlobalQuery(0, True, True, True))
-    punctured = GlobalQuery(5, False, True, False)
-    assert classify_square_finite_supported(5, punctured)
+    assert classify_square_finite_supported(GlobalQuery(2, True, True, True))
+    assert classify_square_finite_supported(GlobalQuery(3, True, True, True))
+    assert classify_square_finite_supported(GlobalQuery(0, True, True, True))
+    assert classify_square_finite_supported(GlobalQuery(5, False, True, False))
+
+
+@pytest.mark.parametrize("query,corrupt", [
+    (GlobalQuery(3, True, True, True), {"half_cone_plus_generators": "countably-infinite"}),
+    (GlobalQuery(5, False, False, True), {"half_cone_minus_generators": "countably-infinite"}),
+    (GlobalQuery(2, False, True, True), {"dim_supp0_graded": (0,) * 16 + (1,)}),
+    (GlobalQuery(4, True, False, False), {"dim_supp0_graded": (1,) * 16 + (0,)}),
+])
+def test_square_finite_supported_rejects_a_corrupted_table(monkeypatch, query, corrupt):
+    original = solver.classify_global
+    monkeypatch.setattr(solver, "classify_global",
+                        lambda q, max_degree: replace(original(q, max_degree), **corrupt))
+    assert not classify_square_finite_supported.__wrapped__(query)
+
+
+def test_square_finite_supported_is_memoised_per_query():
+    assert classify_square_finite_supported(GlobalQuery(4, True, True, False))
+    hits = classify_square_finite_supported.cache_info().hits
+    assert classify_square_finite_supported(GlobalQuery(4, True, True, False))
+    assert classify_square_finite_supported.cache_info().hits == hits + 1
+
+
+def test_square_finite_supported_rejects_a_local_solution(monkeypatch):
+    monkeypatch.setattr(solver, "solve_polynomial", lambda n, p, K: [delta_seed(n)])
+    assert not classify_square_finite_supported.__wrapped__(GlobalQuery(2, False, True, False))
