@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -62,7 +61,8 @@ GRID_CAP = 512
 
 _natural = _ranged(int, lambda v: 0 <= v <= SIZE_CAP, f"an integer in [0, {SIZE_CAP}]")
 _grid_size = _ranged(int, lambda v: 2 <= v <= GRID_CAP, f"an integer in [2, {GRID_CAP}]")
-_width = _ranged(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_width = _ranged(float, lambda v: oracle.SIGMA_WINDOW[0] <= v <= oracle.SIGMA_WINDOW[1],
+                 "a number in [{:g}, {:g}]".format(*oracle.SIGMA_WINDOW))
 
 
 # ---------------------------------------------------------------------------

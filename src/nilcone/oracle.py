@@ -7,11 +7,14 @@ half-cone by the plane,
 
 under which pairings against the cone measure become plain double
 integrals over the plane (with density factor 2), evaluated here by
-deterministic tensor-product quadrature.  Test functions are polynomial
-times Gaussian, so every derivative needed is available in closed form.
-Floats are confined to this module; nothing numeric flows back into the
-symbolic side.  The *_report functions at the end are the numcheck
-batteries, judged against the named thresholds defined beside them.
+deterministic tensor-product quadrature.  Every pairing is one image-moment
+integral, built by the shared routine _image_moments: lead factor times
+multinomial times image monomial h^a x^b y^c times f, weighted at the
+image of each node.  Test functions are polynomial times Gaussian, so every
+derivative needed is available in closed form.  Floats are confined to
+this module; nothing numeric flows back into the symbolic side.  The
+*_report functions at the end are the numcheck batteries, judged against
+the named thresholds defined beside them.
 """
 
 from __future__ import annotations
@@ -200,33 +203,30 @@ def _pairwise_sum(values) -> float:
     return float(buf[0])
 
 
-def _mirror_pair_values(values: np.ndarray, m: int) -> np.ndarray:
+def _mirror_pair_values(values: np.ndarray) -> np.ndarray:
     """Collapse node values into (v, -v) pair sums (center node kept as is).
 
     On the symmetric grids above the mirror of flat index (i, j) is
-    (m-1-i, m-1-j); summing each pair first makes odd integrands cancel
-    exactly in floating point.
+    (m-1-i, m-1-j), which is flat index m^2-1-t: the array read in reverse.
+    Summing each pair first makes odd integrands cancel exactly in floating
+    point.
     """
-    idx = np.arange(m * m)
-    mirror = (m - 1 - idx // m) * m + (m - 1 - idx % m)
-    first = idx[idx < mirror]
-    out = values[first] + values[mirror[first]]
-    center = idx[idx == mirror]
-    if center.size:
-        out = np.concatenate([out, values[center]])
+    half = values.size // 2
+    out = values[:half] + values[::-1][:half]
+    if values.size % 2:
+        out = np.concatenate([out, values[half:half + 1]])
     return out
 
 
 def pair_delta_nplus(f: TestFunction, grid: QuadratureGrid) -> float:
     """Pairing of the upper half-cone measure against f: the approximation
-    of 2 * integral of f(moment_map(a, b)) da db over the grid square.
+    of 2 * integral of f(moment_map(a, b)) da db over the grid square, which
+    is the degree-0 seed pairing.
 
     The caller is responsible for a radius large enough that the Gaussian
     tail is negligible; tail_bound reports a conservative estimate.
     """
-    a, b, w = grid.nodes()
-    h, x, y = moment_map(a, b)
-    return 2.0 * _pairwise_sum(f.value(h, x, y) * w)
+    return float(seed_pairing(0, f, grid)[0])
 
 
 def tail_bound(f: TestFunction, grid: QuadratureGrid) -> float:
@@ -298,6 +298,32 @@ def _ad_matrix(z_label: str, degree: int) -> np.ndarray:
     return mat
 
 
+def _image_moments(degree: int, f: TestFunction, grid: QuadratureGrid,
+                   lead=lambda a, b: (1.0,), absolute: bool = False):
+    """Per-node integrands lead * multinomial(d; al, be, ga) * h^al x^be y^ga * f * w
+    over the moment-map image of the grid, for each factor of lead(a, b) and
+    each degree-d monomial in _monomials order; absolute takes |.| of every
+    factor.  Summed pairwise and doubled, each is one pairing component."""
+    a, b, w = grid.nodes()
+    h, x, y = moment_map(a, b)
+    fw = f.value(h, x, y)
+    if absolute:
+        a, b, h, y, fw = np.abs(a), np.abs(b), np.abs(h), np.abs(y), np.abs(fw)
+    base = fw * w
+    for factor in lead(a, b):
+        for al, be, ga in _monomials(degree):
+            coeff = float(_multinomial(degree, al, be, ga))
+            yield coeff * factor * h ** al * x ** be * y ** ga * base
+
+
+def _norm(components) -> float:
+    """Euclidean norm, summing the squares c * c in order."""
+    total = 0.0
+    for c in components:
+        total += c * c
+    return math.sqrt(total)
+
+
 def seed_pairing(n: int, f: TestFunction, grid: QuadratureGrid) -> np.ndarray:
     """Vector pairing of the degree-n/2 seeded cone measure against f.
 
@@ -307,16 +333,7 @@ def seed_pairing(n: int, f: TestFunction, grid: QuadratureGrid) -> np.ndarray:
     """
     if n % 2:
         raise ValueError("the seeded pairing requires even n")
-    degree = n // 2
-    monos = _monomials(degree)
-    a, b, w = grid.nodes()
-    h, x, y = moment_map(a, b)
-    base = f.value(h, x, y) * w
-    out = np.empty(len(monos))
-    for t, (al, be, ga) in enumerate(monos):
-        coeff = float(_multinomial(degree, al, be, ga))
-        out[t] = 2.0 * _pairwise_sum(coeff * h ** al * x ** be * y ** ga * base)
-    return out
+    return np.array([2.0 * _pairwise_sum(v) for v in _image_moments(n // 2, f, grid)])
 
 
 def invariance_residual(n: int, z_label: str, f: TestFunction,
@@ -350,23 +367,10 @@ def odd_section_obstruction(n: int, f: TestFunction, grid: QuadratureGrid,
     """
     if n % 2 == 0:
         raise ValueError("even n rejected: the obstruction pairing is for odd n")
-    degree = (n - 1) // 2
-    monos = _monomials(degree)
-    a, b, w = grid.nodes()
-    h, x, y = moment_map(a, b)
-    base = f.value(h, x, y) * w
-    if negative_control:
-        lead = (np.abs(a), np.zeros_like(b))
-    else:
-        lead = (a, b)
-    total = 0.0
-    for factor in lead:
-        for (al, be, ga) in monos:
-            coeff = float(_multinomial(degree, al, be, ga))
-            vals = coeff * factor * h ** al * x ** be * y ** ga * base
-            comp = 2.0 * _pairwise_sum(_mirror_pair_values(vals, grid.m))
-            total += comp * comp
-    return math.sqrt(total)
+    lead = ((lambda a, b: (np.abs(a), np.zeros_like(b))) if negative_control
+            else (lambda a, b: (a, b)))
+    return _norm(2.0 * _pairwise_sum(_mirror_pair_values(v))
+                 for v in _image_moments((n - 1) // 2, f, grid, lead))
 
 
 def odd_section_scale(n: int, f: TestFunction, grid: QuadratureGrid) -> float:
@@ -374,19 +378,8 @@ def odd_section_scale(n: int, f: TestFunction, grid: QuadratureGrid) -> float:
     values everywhere, for forming relative residuals."""
     if n % 2 == 0:
         raise ValueError("even n rejected")
-    degree = (n - 1) // 2
-    monos = _monomials(degree)
-    a, b, w = grid.nodes()
-    h, x, y = moment_map(a, b)
-    base = np.abs(f.value(h, x, y)) * w
-    total = 0.0
-    for factor in (np.abs(a), np.abs(b)):
-        for (al, be, ga) in monos:
-            coeff = float(_multinomial(degree, al, be, ga))
-            comp = 2.0 * _pairwise_sum(coeff * factor
-                                       * np.abs(h) ** al * x ** be * np.abs(y) ** ga * base)
-            total += comp * comp
-    return math.sqrt(total)
+    return _norm(2.0 * _pairwise_sum(v) for v in _image_moments(
+        (n - 1) // 2, f, grid, lambda a, b: (a, b), absolute=True))
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +391,7 @@ ROUNDOFF = 1e-12        # relative size below which a quantity is roundoff
 CONTROL_MIN = 1e-3      # the parity-broken negative control must stay above this
 ROUTES_TOL = 1e-9       # relative gap between the midpoint and Gauss-Legendre pairings
 _RADIUS = 6.0           # grid radius, in Gaussian widths
+SIGMA_WINDOW = (1e-3, 1e3)  # accepted widths; far outside, sigma^2 under- or overflows
 
 
 def invariance_report(n: int, grid: int, sigma: float) -> dict:
@@ -414,7 +408,7 @@ def invariance_report(n: int, grid: int, sigma: float) -> dict:
         quad = QuadratureGrid(radius, m)
         row = {"m": m}
         pairing = seed_pairing(n, func, quad)
-        scale = math.sqrt(float(sum(v * v for v in pairing)))
+        scale = _norm(pairing)
         for z in ("H", "X", "Y"):
             resid = invariance_residual(n, z, func, quad)
             row[z] = resid / scale if scale else float("inf")

@@ -4,11 +4,12 @@ kernel_basis computes, for a given delta-order bound K, the space of
 transversal distributions annihilated by the equivariance operator; the
 dimension comes out K+1 for even n and min(K+1, (n+1)/2) for odd n.
 casimir_orbit iterates the radial Casimir on the delta seed, which spans
-the same space (change_of_basis certifies that), and for odd n dies
-exactly after (n+1)/2 steps.  solve_polynomial intersects the kernel with
-a monic polynomial equation in the radial Casimir, with no truncation of
-the image.  classify_global renders the invariant-open-set decision table,
-and classify_square_finite_supported certifies it.  The *_report functions
+the same space (change_of_basis certifies that; the change of basis is
+diagonal), and for odd n dies exactly after (n+1)/2 steps.
+solve_polynomial intersects the kernel with a monic polynomial equation in
+the radial Casimir, with no truncation of the image.  classify_global
+renders the invariant-open-set decision table, and
+classify_square_finite_supported certifies it.  The *_report functions
 return the records of the kernel, orbit, solve and classify commands, each
 with its PASS/FAIL verdict.
 
@@ -253,9 +254,11 @@ def casimir_orbit(n: int, K: int) -> list[TransversalDist]:
 
 def change_of_basis(n: int, K: int) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of the Casimir orbit in kernel_basis coordinates (columns are
-    orbit elements).  Comes out upper-triangular with diagonal entry k equal
-    to the product (n-1)(n-3)...(n-2k+1); for odd n the bound K must not
-    exceed (n-1)/2, where the orbit runs out."""
+    orbit elements).  Comes out diagonal, entry k equal to the product
+    (n-1)(n-3)...(n-2k+1): the radial Casimir sends kernel element k to
+    (n-2k-1) times element k+1.  The checks below certify the weaker
+    upper-triangular shape with a nonzero diagonal.  For odd n the bound K
+    must not exceed (n-1)/2, where the orbit runs out."""
     if n % 2 == 1 and K > (n - 1) // 2:
         raise ValueError(f"for odd n={n} the orbit supports only K <= {(n - 1) // 2}")
     basis = kernel_basis(n, K)

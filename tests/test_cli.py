@@ -103,6 +103,8 @@ def test_exit_one_on_usage_errors():
     ["solve", "--n", "3", "--poly", "t^99999999999"],
     ["numcheck", "--kind", "pairing", "--grid", "513"],
     ["solve", "--n", "3", "--poly", "t+1/0"],
+    ["numcheck", "--kind", "obstruction", "--n", "1", "--grid", "8", "--sigma", "1e-200"],
+    ["numcheck", "--kind", "obstruction", "--n", "1", "--grid", "8", "--sigma", "1e200"],
 ])
 def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
     assert run(argv) == 1

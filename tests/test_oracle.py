@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcone.oracle import (CONTROL_MIN, ROUNDOFF, QuadratureGrid, TestFunction, _ad_matrix,
-                            invariance_report, invariance_residual, lie_derivative,
-                            moment_map, odd_section_obstruction, odd_section_scale,
-                            pair_delta_nplus, seed_pairing, tail_bound)
+                            _mirror_pair_values, _pairwise_sum, invariance_report,
+                            invariance_residual, lie_derivative, moment_map,
+                            odd_section_obstruction, odd_section_scale, pair_delta_nplus,
+                            seed_pairing, tail_bound)
 
 
 def test_moment_map_basis_images():
@@ -234,3 +235,36 @@ def test_invariance_verdict_fails_on_an_unconverged_grid():
     coarse, fine = invariance_report(2, 32, 0.6), invariance_report(2, 64, 0.6)
     assert [row["m"] for row in coarse["table"]] == [8, 16, 32]
     assert (coarse["verdict"], fine["verdict"]) == ("FAIL", "PASS")
+
+
+def _mirror_pair_values_by_index(values, m):
+    """The index-array mirror pairing, kept as the reference for the reversal."""
+    idx = np.arange(m * m)
+    mirror = (m - 1 - idx // m) * m + (m - 1 - idx % m)
+    first = idx[idx < mirror]
+    out = values[first] + values[mirror[first]]
+    center = idx[idx == mirror]
+    if center.size:
+        out = np.concatenate([out, values[center]])
+    return out
+
+
+def test_mirror_pairing_matches_the_index_reference():
+    rng = np.random.default_rng(20261018)
+    for m in range(1, 65):
+        values = rng.standard_normal(m * m)
+        got = _mirror_pair_values(values)
+        assert got.tobytes() == _mirror_pair_values_by_index(values, m).tobytes(), m
+
+
+def test_mirror_pairing_cancels_an_odd_integrand_exactly():
+    f = TestFunction.gaussian(center=(Fraction(1, 3), 1, Fraction(-1, 2)), sigma=0.8,
+                              poly={(1, 0, 0): 2, (0, 1, 1): -1, (0, 0, 0): 1})
+    for rule in ("midpoint", "gauss"):
+        for m in (7, 8, 33, 64):
+            a, b, w = QuadratureGrid(4.8, m, rule).nodes()
+            h, x, y = moment_map(a, b)
+            base = f.value(h, x, y) * w
+            for odd in (a, b, a * a * b + 3 * b * h):
+                assert _pairwise_sum(_mirror_pair_values(odd * base)) == 0.0, (rule, m)
+            assert _pairwise_sum(_mirror_pair_values(np.abs(a) * base)) > 0.0

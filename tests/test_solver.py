@@ -192,13 +192,14 @@ def test_change_of_basis_diagonals():
 
 
 def test_change_of_basis_upper_triangular_and_product_formula():
-    for n in range(10):
+    # upper-triangular, and in fact diagonal: no entry off the diagonal
+    for n in range(14):
         kmax = 6 if n % 2 == 0 else (n - 1) // 2
         mat = change_of_basis(n, kmax)
         dim = len(mat)
         for j in range(dim):
             for k in range(dim):
-                if j > k:
+                if j != k:
                     assert mat[j][k] == 0
             assert mat[j][j] == diag_product(n, j)
 
