@@ -13,7 +13,7 @@ from .oracle import (QuadratureGrid, TestFunction, invariance_residual, lie_deri
                      pair_delta_nplus, seed_pairing, tail_bound)
 from .sl2 import (EndMatrix, Irrep, casimir_scalar, commutator, expected_casimir,
                   make_irrep)
-from .solver import (CasimirPolynomial, GlobalAnswer, GlobalQuery, casimir_orbit,
+from .solver import (CasimirPolynomial, GlobalQuery, casimir_orbit,
                      change_of_basis, classify_global, classify_square_finite_supported,
                      kernel_basis, predicted_kernel_dim, predicted_solve_dim,
                      solve_polynomial)
@@ -30,7 +30,7 @@ __all__ = [
     "seed_pairing", "tail_bound",
     "EndMatrix", "Irrep", "casimir_scalar", "commutator", "expected_casimir",
     "make_irrep",
-    "CasimirPolynomial", "GlobalAnswer", "GlobalQuery", "casimir_orbit",
+    "CasimirPolynomial", "GlobalQuery", "casimir_orbit",
     "change_of_basis", "classify_global", "classify_square_finite_supported",
     "kernel_basis", "predicted_kernel_dim", "predicted_solve_dim", "solve_polynomial",
     "TransversalDist", "apply_endo", "d_dy", "delta_seed", "equivariance_defect",

@@ -398,20 +398,25 @@ def invariance_report(n: int, grid: int, sigma: float) -> dict:
     """Relative invariance residuals of the seeded pairing against a Gaussian
     centred at x = 3, for H, X and Y on m x m grids, m = grid/4, grid/2 and
     grid (at least 8); PASS when the worst residual at m = grid is below
-    INVARIANCE_TOL.  Even n only."""
+    INVARIANCE_TOL.  Even n only, and grid at least 8, so that the verdict
+    row is the finest.  A pairing that is 0 on some grid leaves the
+    residuals without a scale and is rejected."""
     if n % 2:
         raise ValueError("invariance checks need even n")
+    if grid < 8:
+        raise ValueError(f"invariance checks need a grid of at least 8 nodes per axis, got {grid}")
     func = TestFunction.gaussian(center=(0, 3, 0), sigma=sigma)
     radius = _RADIUS * sigma
     table = []
     for m in (max(grid // 4, 8), max(grid // 2, 8), grid):
         quad = QuadratureGrid(radius, m)
         row = {"m": m}
-        pairing = seed_pairing(n, func, quad)
-        scale = _norm(pairing)
+        scale = _norm(seed_pairing(n, func, quad))
+        if not scale:
+            raise ValueError(f"the seeded pairing is 0 on the {m} x {m} grid at "
+                             f"sigma={sigma:g}, so the residuals have no scale")
         for z in ("H", "X", "Y"):
-            resid = invariance_residual(n, z, func, quad)
-            row[z] = resid / scale if scale else float("inf")
+            row[z] = invariance_residual(n, z, func, quad) / scale
         table.append(row)
     worst = max(table[-1][z] for z in ("H", "X", "Y"))
     return {
@@ -427,16 +432,18 @@ def obstruction_report(n: int, grid: int, sigma: float) -> dict:
     """Relative odd-section obstruction and its parity-broken negative
     control against a Gaussian centred at x = 1; PASS when the obstruction
     is roundoff (below ROUNDOFF) and the control exceeds CONTROL_MIN.
-    Odd n only."""
+    Odd n only.  A scale of 0 leaves the obstruction nothing to be relative
+    to and is rejected."""
     if n % 2 == 0:
         raise ValueError("obstruction checks need odd n")
     func = TestFunction.gaussian(center=(0, 1, 0), sigma=sigma)
     quad = QuadratureGrid(_RADIUS * sigma, grid)
     scale = odd_section_scale(n, func, quad)
-    value = odd_section_obstruction(n, func, quad)
-    control = odd_section_obstruction(n, func, quad, negative_control=True)
-    rel = value / scale if scale else float("inf")
-    rel_control = control / scale if scale else 0.0
+    if not scale:
+        raise ValueError(f"the obstruction scale is 0 on the {grid} x {grid} grid at "
+                         f"sigma={sigma:g}, so no relative obstruction exists")
+    rel = odd_section_obstruction(n, func, quad) / scale
+    rel_control = odd_section_obstruction(n, func, quad, negative_control=True) / scale
     return {
         "command": "numcheck", "kind": "obstruction", "n": n,
         "sigma": sigma, "grid": grid,
@@ -451,9 +458,16 @@ def pairing_report(grid: int, sigma: float) -> dict:
     by the midpoint and the Gauss-Legendre rule (relative gap below
     ROUTES_TOL), a positive pairing, and two pairings that must vanish up
     to ROUNDOFF, a Gaussian far off the cone and one times a polynomial
-    that annihilates the cone."""
+    that annihilates the cone.  The battery is rejected unless the tail
+    bound is below ROUNDOFF times the base pairing: a grid square that
+    cuts off more than that cannot tell the routes apart."""
     func = TestFunction.gaussian(center=(0, 1, 0), sigma=sigma)
     grid_mid = QuadratureGrid(_RADIUS * sigma, grid, "midpoint")
+    base = pair_delta_nplus(func, grid_mid)
+    tail = tail_bound(func, grid_mid)
+    if not tail < ROUNDOFF * abs(base):
+        raise ValueError(f"the tail bound {tail:.3e} at sigma={sigma:g} is not below "
+                         f"{ROUNDOFF:g} times the pairing {base:.3e}; use a larger sigma")
     grid_gauss = QuadratureGrid(_RADIUS * sigma, max(grid * 3 // 4, 8), "gauss")
     casimired = func.casimir()
     route_a = pair_delta_nplus(casimired, grid_mid)
@@ -466,7 +480,7 @@ def pairing_report(grid: int, sigma: float) -> dict:
     support = pair_delta_nplus(
         TestFunction.gaussian(center=(0, 1, 0), sigma=sigma,
                               poly={(2, 0, 0): 1, (0, 1, 1): 1}), grid_mid)
-    negligible = ROUNDOFF * max(abs(pair_delta_nplus(func, grid_mid)), 1.0)
+    negligible = ROUNDOFF * max(abs(base), 1.0)
     passed = (agreement < ROUTES_TOL and positive > 0
               and abs(far) < negligible and abs(support) < negligible)
     return {
@@ -477,7 +491,7 @@ def pairing_report(grid: int, sigma: float) -> dict:
         "positive_pairing": positive,
         "far_gaussian_pairing": far,
         "cone_annihilator_pairing": support,
-        "tail_bound": tail_bound(func, grid_mid),
+        "tail_bound": tail,
         "verdict": "PASS" if passed else "FAIL",
         "verdict_detail": f"two-route agreement {agreement:.3e}; support and decay checks",
     }

@@ -1,14 +1,20 @@
 """Exact linear algebra realizing the cone-support classification.
 
+Both classification theorems follow one ladder: the radial Casimir sends
+invariant kernel element b_k to (n-2k-1) b_{k+1}.  ladder_length is the one
+place that decides where the ladder stops: after (n+1)/2 steps for odd n,
+never for even n.  The closed forms, the orbit's termination check and the
+decision table all read it from there.
+
 kernel_basis computes, for a given delta-order bound K, the space of
 transversal distributions annihilated by the equivariance operator; the
-dimension comes out K+1 for even n and min(K+1, (n+1)/2) for odd n.
-casimir_orbit iterates the radial Casimir on the delta seed, which spans
-the same space (change_of_basis certifies that; the change of basis is
-diagonal), and for odd n dies exactly after (n+1)/2 steps.
+dimension comes out K+1 when the ladder never stops and min(K+1, L) when it
+stops after L steps.  casimir_orbit iterates the radial Casimir on the delta
+seed, which spans the same space (change_of_basis certifies that; the
+change of basis is diagonal), and dies exactly where the ladder stops.
 solve_polynomial intersects the kernel with a monic polynomial equation in
 the radial Casimir, with no truncation of the image.  classify_global
-renders the invariant-open-set decision table, and
+returns the invariant-open-set decision table as a record, and
 classify_square_finite_supported certifies it.  The *_report functions
 return the records of the kernel, orbit, solve and classify commands, each
 with its PASS/FAIL verdict.
@@ -96,35 +102,6 @@ class GlobalQuery:
     contains_n_minus: bool
 
 
-@dataclass(frozen=True)
-class GlobalAnswer:
-    """Decision-table answer for cone-supported invariant distributions."""
-
-    query: GlobalQuery
-    dim_supp0_graded: tuple[int, ...]
-    half_cone_plus_generators: str   # "countably-infinite" | "zero"
-    half_cone_minus_generators: str
-    realizable: bool
-    statement: tuple[str, ...]
-
-    def to_record(self) -> dict:
-        return {
-            "n": self.query.n,
-            "flags": {
-                "origin": self.query.contains_origin,
-                "n_plus": self.query.contains_n_plus,
-                "n_minus": self.query.contains_n_minus,
-            },
-            "supp0_graded_dims": list(self.dim_supp0_graded),
-            "half_cone_generators": {
-                "plus": self.half_cone_plus_generators,
-                "minus": self.half_cone_minus_generators,
-            },
-            "realizable": self.realizable,
-            "cases": list(self.statement),
-        }
-
-
 # ---------------------------------------------------------------------------
 # exact nullspace machinery
 
@@ -185,16 +162,24 @@ def _nullspace(rows, ncols: int) -> list[dict]:
 # kernels, orbits, polynomial equations
 
 
+def ladder_length(n: int) -> int | None:
+    """Steps the radial Casimir takes from the delta seed before its weight
+    first vanishes, or None when no weight ever does.  It sends b_k to
+    (n-2k-1) b_{k+1}, so the ladder stops at the k where n-2k-1 = 0, which
+    exists for odd n only."""
+    return next((k + 1 for k in range(n) if n - 2 * k - 1 == 0), None)
+
+
 def predicted_kernel_dim(n: int, K: int) -> int:
     """Closed-form dimension of the order-bounded invariant kernel."""
-    if n % 2 == 0:
-        return K + 1
-    return min(K + 1, (n + 1) // 2)
+    steps = ladder_length(n)
+    return K + 1 if steps is None else min(K + 1, steps)
 
 
 def predicted_orbit_length(n: int, K: int) -> int:
     """Closed-form length of casimir_orbit(n, K)."""
-    return K + 1 if n % 2 == 0 else (n + 1) // 2
+    steps = ladder_length(n)
+    return K + 1 if steps is None else steps
 
 
 def _rows(images) -> list[dict]:
@@ -232,8 +217,9 @@ def kernel_basis(n: int, K: int) -> list[TransversalDist]:
 def casimir_orbit(n: int, K: int) -> list[TransversalDist]:
     """Iterates of the radial Casimir on the delta seed.
 
-    Even n: the first K+1 iterates.  Odd n: all nonzero iterates, exactly
-    (n+1)/2 of them, after which the next iterate must vanish identically.
+    When the ladder never stops (even n): the first K+1 iterates.  When it
+    stops after ladder_length(n) steps (odd n): all nonzero iterates, that
+    many of them, after which the next iterate must vanish identically.
     Each element is checked to have zero equivariance defect.
     """
     if n < 0 or K < 0:
@@ -247,8 +233,8 @@ def casimir_orbit(n: int, K: int) -> list[TransversalDist]:
             raise ArithmeticError(f"Casimir orbit left the invariant kernel for n={n}")
         out.append(cur)
         cur = radial_casimir(cur)
-    if n % 2 == 1 and cur:
-        raise ArithmeticError(f"Casimir orbit failed to terminate for odd n={n}")
+    if ladder_length(n) is not None and cur:
+        raise ArithmeticError(f"Casimir orbit failed to terminate for n={n}")
     return out
 
 
@@ -257,10 +243,11 @@ def change_of_basis(n: int, K: int) -> tuple[tuple[Fraction, ...], ...]:
     orbit elements).  Comes out diagonal, entry k equal to the product
     (n-1)(n-3)...(n-2k+1): the radial Casimir sends kernel element k to
     (n-2k-1) times element k+1.  The checks below certify the weaker
-    upper-triangular shape with a nonzero diagonal.  For odd n the bound K
-    must not exceed (n-1)/2, where the orbit runs out."""
-    if n % 2 == 1 and K > (n - 1) // 2:
-        raise ValueError(f"for odd n={n} the orbit supports only K <= {(n - 1) // 2}")
+    upper-triangular shape with a nonzero diagonal.  Where the ladder stops
+    after L steps, the bound K must be below L, where the orbit runs out."""
+    steps = ladder_length(n)
+    if steps is not None and K >= steps:
+        raise ValueError(f"for n={n} the orbit supports only K <= {steps - 1}")
     basis = kernel_basis(n, K)
     orbit = casimir_orbit(n, K)[:K + 1]
     dim = len(basis)
@@ -304,35 +291,31 @@ def solve_polynomial(n: int, p: CasimirPolynomial, K: int) -> list[TransversalDi
 def predicted_solve_dim(n: int, p: CasimirPolynomial, K: int) -> int:
     """Closed-form dimension of solve_polynomial's answer.
 
-    Even n: zero.  Odd n: of the min(K+1, (n+1)/2) orbit coordinates, the
-    equation forces the first (n-1)/2 - v + 1 to vanish, v being the
-    valuation of p (none when v exceeds (n-1)/2).
+    Zero when the ladder never stops (even n).  When it stops after L steps,
+    the kernel has min(K+1, L) orbit coordinates, and the equation forces
+    the first L - v of them to vanish, v being the valuation of p.
     """
-    if n % 2 == 0:
+    steps = ladder_length(n)
+    if steps is None:
         return 0
-    kmax = min(K, (n - 1) // 2)
-    v = p.valuation()
-    if v > (n - 1) // 2:
-        forced = 0
-    else:
-        forced = min((n - 1) // 2 - v + 1, kmax + 1)
-    return kmax + 1 - forced
+    return max(0, min(K + 1, steps) - max(0, steps - p.valuation()))
 
 
 # ---------------------------------------------------------------------------
 # global decision tables
 
 
-def classify_global(query: GlobalQuery, max_degree: int = 12) -> GlobalAnswer:
+def classify_global(query: GlobalQuery, max_degree: int = 12) -> dict:
     """Decision table for cone-supported invariant distributions over an
-    invariant open set, reduced to its orbit memberships.
+    invariant open set, reduced to its orbit memberships, as the record the
+    classify command prints.
 
     Origin part: zero when the origin is absent, otherwise the graded
-    dimension series from the character computation.  Half-cone parts: for
-    even n each half-cone inside the set contributes a countable ladder of
-    Casimir iterates of the seeded cone measure; for odd n the two-fold
-    covering of the half-cone admits no global section, so the half-cones
-    contribute nothing at all.
+    dimension series from the character computation.  Half-cone parts: when
+    the Casimir ladder never stops (even n) each half-cone inside the set
+    contributes a countable ladder of Casimir iterates of the seeded cone
+    measure; when it stops (odd n) the two-fold covering of the half-cone
+    admits no global section, so the half-cones contribute nothing at all.
 
     Three of the eight flag combinations cannot come from an actual
     invariant open set (a set containing the origin contains a ball, hence
@@ -340,32 +323,36 @@ def classify_global(query: GlobalQuery, max_degree: int = 12) -> GlobalAnswer:
     them mechanically and flags realizability.
     """
     n = query.n
-    even = n % 2 == 0
     if query.contains_origin:
-        dims = tuple(invariant_dim(n, m) for m in range(max_degree + 1))
+        dims = [invariant_dim(n, m) for m in range(max_degree + 1)]
         case_i = ("(i) origin component: isomorphic to the invariant symmetric "
                   "tensors; graded dimensions by degree as listed")
     else:
-        dims = (0,) * (max_degree + 1)
+        dims = [0] * (max_degree + 1)
         case_i = "(i) origin component: zero (the open set omits the origin)"
-    plus = "countably-infinite" if (even and query.contains_n_plus) else "zero"
-    minus = "countably-infinite" if (even and query.contains_n_minus) else "zero"
-    if even:
-        case_parity = ("(ii) even weight: each half-cone inside the set carries one "
+    endless = ladder_length(n) is None
+    plus = "countably-infinite" if (endless and query.contains_n_plus) else "zero"
+    minus = "countably-infinite" if (endless and query.contains_n_minus) else "zero"
+    if endless:
+        case_ladder = ("(ii) even weight: each half-cone inside the set carries one "
                        f"countable ladder of Casimir iterates of the seeded cone measure; "
                        f"plus: {plus}, minus: {minus}")
     else:
-        case_parity = ("(iii) odd weight: no half-cone contributes; every cone-supported "
+        case_ladder = ("(iii) odd weight: no half-cone contributes; every cone-supported "
                        "solution already lives on the origin component")
     realizable = (not query.contains_origin) or (query.contains_n_plus and query.contains_n_minus)
-    return GlobalAnswer(
-        query=query,
-        dim_supp0_graded=dims,
-        half_cone_plus_generators=plus,
-        half_cone_minus_generators=minus,
-        realizable=realizable,
-        statement=(case_i, case_parity),
-    )
+    return {
+        "n": n,
+        "flags": {
+            "origin": query.contains_origin,
+            "n_plus": query.contains_n_plus,
+            "n_minus": query.contains_n_minus,
+        },
+        "supp0_graded_dims": dims,
+        "half_cone_generators": {"plus": plus, "minus": minus},
+        "realizable": realizable,
+        "cases": [case_i, case_ladder],
+    }
 
 
 # The certifying checks of classify_square_finite_supported: the local
@@ -391,22 +378,25 @@ def classify_square_finite_supported(query: GlobalQuery) -> bool:
     otherwise they must be nondecreasing two degrees apart, the computable
     shadow of the Casimir acting injectively on the origin tower.  Odd n:
     the missing global section must show as zero generators on both
-    half-cones.  Cone part: for even n, and for each p with a nonzero
-    constant term, the local polynomial equation must have no nonzero
-    solution.
+    half-cones; this check tests the parity itself, apart from
+    ladder_length, so that a wrong ladder cannot certify its own table.
+    Cone part: where the ladder never stops (even n), and for each p with a
+    nonzero constant term, the local polynomial equation must have no
+    nonzero solution.
     """
     n = query.n
     answer = classify_global(query, max_degree=_CERTIFY_DEGREE)
-    dims = answer.dim_supp0_graded
+    dims = answer["supp0_graded_dims"]
     if query.contains_origin:
         ok = all(dims[m] <= dims[m + 2] for m in range(len(dims) - 2))
     else:
         ok = not any(dims)
     if n % 2 == 1:
-        ok &= answer.half_cone_plus_generators == answer.half_cone_minus_generators == "zero"
+        ok &= answer["half_cone_generators"] == {"plus": "zero", "minus": "zero"}
     if query.contains_n_plus or query.contains_n_minus:
+        endless = ladder_length(n) is None
         for poly in _CERTIFY_POLYS:
-            if n % 2 == 0 or poly.valuation() == 0:
+            if endless or poly.valuation() == 0:
                 ok &= not solve_polynomial(n, poly, _CERTIFY_ORDER)
     return ok
 
@@ -460,7 +450,7 @@ def classify_report(query: GlobalQuery, max_degree: int) -> dict:
     finite = classify_square_finite_supported(query)
     return {
         "command": "classify",
-        "answer": classify_global(query, max_degree=max_degree).to_record(),
+        "answer": classify_global(query, max_degree=max_degree),
         "square_finite_supported_only_zero": finite,
         "verdict": "PASS" if finite else "FAIL",
         "verdict_detail": "decision table consistent; Casimir-finite cone-supported space is zero",

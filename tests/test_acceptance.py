@@ -234,7 +234,7 @@ def test_criterion_10_decision_tables_golden():
                     entries.append({
                         "query": {"n": n, "origin": origin, "n_plus": plus,
                                   "n_minus": minus},
-                        "answer": classify_global(query, max_degree=golden["max_degree"]).to_record(),
+                        "answer": classify_global(query, max_degree=golden["max_degree"]),
                         "square_finite_supported_only_zero":
                             classify_square_finite_supported(query),
                     })

@@ -105,6 +105,14 @@ def test_exit_one_on_usage_errors():
     ["solve", "--n", "3", "--poly", "t+1/0"],
     ["numcheck", "--kind", "obstruction", "--n", "1", "--grid", "8", "--sigma", "1e-200"],
     ["numcheck", "--kind", "obstruction", "--n", "1", "--grid", "8", "--sigma", "1e200"],
+    ["numcheck", "--kind", "obstruction", "--n", "1", "--grid", "128", "--sigma", "0.001"],
+    ["numcheck", "--kind", "obstruction", "--n", "1", "--grid", "128", "--sigma", "0.01"],
+    ["numcheck", "--kind", "obstruction", "--n", "1", "--grid", "8", "--sigma", "1000"],
+    ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.01"],
+    ["numcheck", "--kind", "pairing", "--grid", "128", "--sigma", "0.05"],
+    ["numcheck", "--kind", "pairing", "--grid", "128", "--sigma", "0.2"],
+    ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "4"],
+    ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "7"],
 ])
 def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
     assert run(argv) == 1

@@ -3,7 +3,6 @@
 import itertools
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import nilcone.solver as solver
 from nilcone.solver import (CasimirPolynomial, GlobalQuery, _nullspace, casimir_orbit,
                             change_of_basis, classify_global,
                             classify_square_finite_supported, kernel_basis,
-                            predicted_kernel_dim, predicted_solve_dim,
+                            ladder_length, predicted_kernel_dim, predicted_solve_dim,
                             solve_polynomial)
 from nilcone.transversal import (TransversalDist, delta_seed, equivariance_defect,
                                  radial_casimir)
@@ -166,6 +165,22 @@ def test_local_bases_match_golden_file():
     assert local_bases_text() == LOCAL_GOLDEN.read_text()
 
 
+# -- ladder_length -------------------------------------------------------------
+
+
+def test_ladder_length_is_where_the_casimir_iteration_dies():
+    # the radial Casimir's own iterates, up to 2n+2 steps, say where the ladder stops
+    for n in range(41):
+        iterates = [delta_seed(n)]
+        while iterates[-1] and len(iterates) <= 2 * n + 2:
+            iterates.append(radial_casimir(iterates[-1]))
+        first_zero = next((j for j, psi in enumerate(iterates) if not psi), None)
+        if n % 2:
+            assert ladder_length(n) == first_zero, n
+        else:
+            assert ladder_length(n) is None and first_zero is None, n
+
+
 # -- casimir_orbit / change_of_basis ----------------------------------------
 
 
@@ -239,14 +254,18 @@ def test_solve_odd_pure_power_recovers_seed_orbit():
 
 
 def test_solve_matches_closed_form_dimension():
+    # valuations 0 to 4, so both v > (n-1)/2 and K < (n+1)/2 - v occur
     polys = [CasimirPolynomial((0,)),                 # t
              CasimirPolynomial((0, 0)),               # t^2
              CasimirPolynomial((0, 1)),               # t^2 + t
              CasimirPolynomial((1,)),                 # t + 1
              CasimirPolynomial((0, 0, 0)),            # t^3
-             CasimirPolynomial((0, Fraction(1, 2), 0))]  # t^3 + t/2
-    for n in range(8):
-        for K in (1, 3, 5):
+             CasimirPolynomial((0, Fraction(1, 2), 0)),  # t^3 + t/2
+             CasimirPolynomial((0, 0, 0, -2)),        # t^4 - 2t^3
+             CasimirPolynomial((0, 0, 0, 0, 3))]      # t^5 + 3t^4
+    assert sorted({p.valuation() for p in polys}) == [0, 1, 2, 3, 4]
+    for n in range(14):
+        for K in range(13):
             for p in polys:
                 assert len(solve_polynomial(n, p, K)) == predicted_solve_dim(n, p, K), \
                     (n, K, str(p))
@@ -284,18 +303,18 @@ def test_casimir_polynomial_api():
 
 def test_classify_global_examples():
     ans = classify_global(GlobalQuery(3, False, True, False))
-    assert all(d == 0 for d in ans.dim_supp0_graded)
-    assert ans.half_cone_plus_generators == "zero"
-    assert ans.half_cone_minus_generators == "zero"
+    assert all(d == 0 for d in ans["supp0_graded_dims"])
+    assert ans["half_cone_generators"]["plus"] == "zero"
+    assert ans["half_cone_generators"]["minus"] == "zero"
 
     ans = classify_global(GlobalQuery(2, True, True, True))
-    assert ans.half_cone_plus_generators == "countably-infinite"
-    assert ans.half_cone_minus_generators == "countably-infinite"
-    assert ans.dim_supp0_graded[:4] == (0, 1, 0, 1)
+    assert ans["half_cone_generators"]["plus"] == "countably-infinite"
+    assert ans["half_cone_generators"]["minus"] == "countably-infinite"
+    assert ans["supp0_graded_dims"][:4] == [0, 1, 0, 1]
 
     ans = classify_global(GlobalQuery(0, True, True, True))
-    assert ans.dim_supp0_graded[:5] == (1, 0, 1, 0, 1)
-    assert ans.half_cone_plus_generators == "countably-infinite"
+    assert ans["supp0_graded_dims"][:5] == [1, 0, 1, 0, 1]
+    assert ans["half_cone_generators"]["plus"] == "countably-infinite"
 
 
 def test_classify_global_invariants():
@@ -305,11 +324,11 @@ def test_classify_global_invariants():
                 for minus in (False, True):
                     ans = classify_global(GlobalQuery(n, origin, plus, minus))
                     if n % 2 == 1:
-                        assert ans.half_cone_plus_generators == "zero"
-                        assert ans.half_cone_minus_generators == "zero"
+                        assert ans["half_cone_generators"]["plus"] == "zero"
+                        assert ans["half_cone_generators"]["minus"] == "zero"
                     if not origin:
-                        assert all(d == 0 for d in ans.dim_supp0_graded)
-                    assert ans.realizable == ((not origin) or (plus and minus))
+                        assert all(d == 0 for d in ans["supp0_graded_dims"])
+                    assert ans["realizable"] == ((not origin) or (plus and minus))
 
 
 def test_square_finite_supported_examples():
@@ -320,15 +339,17 @@ def test_square_finite_supported_examples():
 
 
 @pytest.mark.parametrize("query,corrupt", [
-    (GlobalQuery(3, True, True, True), {"half_cone_plus_generators": "countably-infinite"}),
-    (GlobalQuery(5, False, False, True), {"half_cone_minus_generators": "countably-infinite"}),
-    (GlobalQuery(2, False, True, True), {"dim_supp0_graded": (0,) * 16 + (1,)}),
-    (GlobalQuery(4, True, False, False), {"dim_supp0_graded": (1,) * 16 + (0,)}),
+    (GlobalQuery(3, True, True, True),
+     {"half_cone_generators": {"plus": "countably-infinite", "minus": "zero"}}),
+    (GlobalQuery(5, False, False, True),
+     {"half_cone_generators": {"plus": "zero", "minus": "countably-infinite"}}),
+    (GlobalQuery(2, False, True, True), {"supp0_graded_dims": [0] * 16 + [1]}),
+    (GlobalQuery(4, True, False, False), {"supp0_graded_dims": [1] * 16 + [0]}),
 ])
 def test_square_finite_supported_rejects_a_corrupted_table(monkeypatch, query, corrupt):
     original = solver.classify_global
     monkeypatch.setattr(solver, "classify_global",
-                        lambda q, max_degree: replace(original(q, max_degree), **corrupt))
+                        lambda q, max_degree: {**original(q, max_degree), **corrupt})
     assert not classify_square_finite_supported.__wrapped__(query)
 
 
