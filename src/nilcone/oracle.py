@@ -400,13 +400,21 @@ def invariance_report(n: int, grid: int, sigma: float) -> dict:
     grid (at least 8); PASS when the worst residual at m = grid is below
     INVARIANCE_TOL.  Even n only, and grid at least 8, so that the verdict
     row is the finest.  A pairing that is 0 on some grid leaves the
-    residuals without a scale and is rejected."""
+    residuals without a scale and is rejected, and so is a width whose
+    grid square cuts off the Gaussian: the tail bound must be below
+    INVARIANCE_TOL times the plain pairing on the finest grid."""
     if n % 2:
         raise ValueError("invariance checks need even n")
     if grid < 8:
         raise ValueError(f"invariance checks need a grid of at least 8 nodes per axis, got {grid}")
     func = TestFunction.gaussian(center=(0, 3, 0), sigma=sigma)
     radius = _RADIUS * sigma
+    finest = QuadratureGrid(radius, grid)
+    base = pair_delta_nplus(func, finest)
+    tail = tail_bound(func, finest)
+    if not tail < INVARIANCE_TOL * abs(base):
+        raise ValueError(f"the tail bound {tail:.3e} at sigma={sigma:g} is not below "
+                         f"{INVARIANCE_TOL:g} times the pairing {base:.3e}; use a larger sigma")
     table = []
     for m in (max(grid // 4, 8), max(grid // 2, 8), grid):
         quad = QuadratureGrid(radius, m)
@@ -460,7 +468,9 @@ def pairing_report(grid: int, sigma: float) -> dict:
     to ROUNDOFF, a Gaussian far off the cone and one times a polynomial
     that annihilates the cone.  The battery is rejected unless the tail
     bound is below ROUNDOFF times the base pairing: a grid square that
-    cuts off more than that cannot tell the routes apart."""
+    cuts off more than that cannot tell the routes apart.  It is rejected
+    too unless the two rules pair the plain Gaussian itself within
+    ROUTES_TOL: a grid too coarse for the width cannot either."""
     func = TestFunction.gaussian(center=(0, 1, 0), sigma=sigma)
     grid_mid = QuadratureGrid(_RADIUS * sigma, grid, "midpoint")
     base = pair_delta_nplus(func, grid_mid)
@@ -469,6 +479,12 @@ def pairing_report(grid: int, sigma: float) -> dict:
         raise ValueError(f"the tail bound {tail:.3e} at sigma={sigma:g} is not below "
                          f"{ROUNDOFF:g} times the pairing {base:.3e}; use a larger sigma")
     grid_gauss = QuadratureGrid(_RADIUS * sigma, max(grid * 3 // 4, 8), "gauss")
+    base_gauss = pair_delta_nplus(func, grid_gauss)
+    if not abs(base - base_gauss) < ROUTES_TOL * max(abs(base), abs(base_gauss)):
+        raise ValueError(f"the {grid} x {grid} grid is too coarse at sigma={sigma:g}: the "
+                         f"midpoint and Gauss-Legendre pairings of the Gaussian, {base:.3e} "
+                         f"and {base_gauss:.3e}, differ by {abs(base - base_gauss):.3e}, "
+                         f"not below {ROUTES_TOL:g} of the larger; use a finer grid")
     casimired = func.casimir()
     route_a = pair_delta_nplus(casimired, grid_mid)
     route_b = pair_delta_nplus(casimired, grid_gauss)

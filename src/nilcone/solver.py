@@ -10,8 +10,9 @@ kernel_basis computes, for a given delta-order bound K, the space of
 transversal distributions annihilated by the equivariance operator; the
 dimension comes out K+1 when the ladder never stops and min(K+1, L) when it
 stops after L steps.  casimir_orbit iterates the radial Casimir on the delta
-seed, which spans the same space (change_of_basis certifies that; the
-change of basis is diagonal), and dies exactly where the ladder stops.
+seed, which spans the same space, and dies exactly where the ladder stops.
+change_of_basis certifies the span: the change of basis is diagonal, and
+one exact equality per orbit element, orbit[k] = d_k kernel[k], proves it.
 solve_polynomial intersects the kernel with a monic polynomial equation in
 the radial Casimir, with no truncation of the image.  classify_global
 returns the invariant-open-set decision table as a record, and
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import invariant_dim
-from .transversal import (TransversalDist, _defect_terms, delta_seed, equivariance_defect,
-                          radial_casimir)
+from .transversal import (TransversalDist, _collect, _defect_terms, delta_seed,
+                          equivariance_defect, radial_casimir)
 
 
 @dataclass(frozen=True)
@@ -240,33 +241,28 @@ def casimir_orbit(n: int, K: int) -> list[TransversalDist]:
 
 def change_of_basis(n: int, K: int) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of the Casimir orbit in kernel_basis coordinates (columns are
-    orbit elements).  Comes out diagonal, entry k equal to the product
-    (n-1)(n-3)...(n-2k+1): the radial Casimir sends kernel element k to
-    (n-2k-1) times element k+1.  The checks below certify the weaker
-    upper-triangular shape with a nonzero diagonal.  Where the ladder stops
-    after L steps, the bound K must be below L, where the orbit runs out."""
+    orbit elements): diagonal, entry k the product (n-1)(n-3)...(n-2k+1),
+    since the radial Casimir sends kernel element k to (n-2k-1) times
+    element k+1.  One exact equality per orbit element certifies it:
+    orbit[k] = d_k basis[k] with d_k, its top coefficient a_{n,k}, nonzero;
+    in the top-echelon basis that places d_k on the diagonal and 0 off it.
+    Where the ladder stops after L steps, the bound K must be below L,
+    where the orbit runs out."""
     steps = ladder_length(n)
     if steps is not None and K >= steps:
         raise ValueError(f"for n={n} the orbit supports only K <= {steps - 1}")
     basis = kernel_basis(n, K)
     orbit = casimir_orbit(n, K)[:K + 1]
-    dim = len(basis)
-    if len(orbit) != dim:
+    if len(orbit) != len(basis):
         raise ArithmeticError("orbit and kernel sizes disagree")
-    matrix = [[orbit[k].coefficient(n, j) for k in range(dim)] for j in range(dim)]
-    for k in range(dim):
-        recon = TransversalDist(n, {})
-        for j in range(dim):
-            if matrix[j][k]:
-                recon = recon + matrix[j][k] * basis[j]
-        if recon != orbit[k]:
-            raise ArithmeticError("orbit element falls outside the kernel span")
-        if not matrix[k][k]:
-            raise ArithmeticError("singular change of basis: orbit does not span")
-        for j in range(k + 1, dim):
-            if matrix[j][k]:
-                raise ArithmeticError("change of basis is not upper-triangular")
-    return tuple(tuple(row) for row in matrix)
+    diagonal = [psi.coefficient(n, k) for k, psi in enumerate(orbit)]
+    for k, d in enumerate(diagonal):
+        if not d or orbit[k] != d * basis[k]:
+            raise ArithmeticError(f"orbit element {k} is not a nonzero multiple "
+                                  f"of kernel element {k}")
+    zero = Fraction(0)
+    return tuple(tuple(d if j == k else zero for k in range(len(diagonal)))
+                 for j, d in enumerate(diagonal))
 
 
 def solve_polynomial(n: int, p: CasimirPolynomial, K: int) -> list[TransversalDist]:
@@ -279,13 +275,9 @@ def solve_polynomial(n: int, p: CasimirPolynomial, K: int) -> list[TransversalDi
     K); the equation must hold identically."""
     columns = kernel_basis(n, K)[::-1]
     vectors = _nullspace(_rows(p.apply(b).terms.items() for b in columns), len(columns))
-    sols = []
-    for vec in reversed(vectors):
-        acc = TransversalDist(n, {})
-        for col, c in vec.items():
-            acc = acc + c * columns[col]
-        sols.append(acc)
-    return sols
+    return [_collect(n, ((key, c * v) for col, c in vec.items()
+                         for key, v in columns[col].terms.items()))
+            for vec in reversed(vectors)]
 
 
 def predicted_solve_dim(n: int, p: CasimirPolynomial, K: int) -> int:

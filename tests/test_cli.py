@@ -113,6 +113,13 @@ def test_exit_one_on_usage_errors():
     ["numcheck", "--kind", "pairing", "--grid", "128", "--sigma", "0.2"],
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "4"],
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "7"],
+    ["numcheck", "--kind", "pairing", "--grid", "16", "--sigma", "100"],
+    ["numcheck", "--kind", "pairing", "--grid", "48", "--sigma", "1000"],
+    ["numcheck", "--kind", "pairing", "--grid", "64"],
+    ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.3"],
+    ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.4"],
+    ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.5"],
+    ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.52"],
 ])
 def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
     assert run(argv) == 1

@@ -224,6 +224,22 @@ def test_change_of_basis_rejects_overlong_odd_request():
         change_of_basis(3, 2)
 
 
+@pytest.mark.parametrize("n, K", [(0, 3), (4, 4), (7, 3)])
+def test_change_of_basis_rejects_a_corrupted_orbit(monkeypatch, n, K):
+    # an off-diagonal entry (orbit[k] + basis[k+1]), then a zero diagonal
+    # entry (orbit[k] with its top coefficient a_{n,k} removed)
+    basis, orbit = kernel_basis(n, K), casimir_orbit(n, K)
+    corruptions = [(k, orbit[k] + basis[k + 1]) for k in range(K)]
+    corruptions += [(k, TransversalDist(n, {key: c for key, c in orbit[k].terms.items()
+                                            if key != (n, k)}))
+                    for k in range(K + 1)]
+    for k, bad in corruptions:
+        monkeypatch.setattr(solver, "casimir_orbit",
+                            lambda *_, k=k, bad=bad: orbit[:k] + [bad] + orbit[k + 1:])
+        with pytest.raises(ArithmeticError):
+            change_of_basis(n, K)
+
+
 # -- solve_polynomial ---------------------------------------------------------
 
 
