@@ -7,7 +7,11 @@ half-cone by the plane,
 
 under which pairings against the cone measure become plain double
 integrals over the plane (with density factor 2), evaluated here by
-deterministic tensor-product quadrature.  Every pairing is one image-moment
+deterministic tensor-product quadrature.  The grid's nodes come as
+broadcastable factors, a column of a and a row of b, so x = a^2/2 and
+y = -b^2/2 and their powers are computed on m values each; only h and the
+products fill the m x m square, whose row-major order is the flat node
+order that every summation follows.  Every pairing is one image-moment
 integral, built by the shared routine _image_moments: lead factor times
 multinomial times image monomial h^a x^b y^c times f, weighted at the
 image of each node.  Test functions are polynomial times Gaussian, so every
@@ -19,6 +23,7 @@ the named thresholds defined beside them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +55,16 @@ def moment_map(a, b):
     Fractions, vectorized on numpy arrays.
     """
     return (-a * b / 2, a * a / 2, -b * b / 2)
+
+
+def _times_powers(lead, axes, expo):
+    """lead * h^i * x^j * y^k, multiplied left to right, with every factor
+    axis^0 skipped: multiplying by 1.0 is exact, so skipping it changes no
+    value and saves an array of ones and a multiplication."""
+    for axis, e in zip(axes, expo):
+        if e:
+            lead = lead * axis ** e
+    return lead
 
 
 def _diff_poly(poly, axis):
@@ -98,10 +113,10 @@ class TestFunction:
         return cls(poly, center, Fraction(sigma) ** 2)
 
     def value(self, h, x, y):
-        """Evaluate at floats or numpy arrays."""
+        """Evaluate at floats or at numpy arrays that broadcast together."""
         pv = 0.0
-        for (i, j, k), c in self.poly.items():
-            pv = pv + float(c) * h ** i * x ** j * y ** k
+        for expo, c in self.poly.items():
+            pv = pv + _times_powers(float(c), (h, x, y), expo)
         ch, cx, cy = (float(t) for t in self.center)
         expo = ((h - ch) ** 2 + (x - cx) ** 2 + (y - cy) ** 2) / float(self.sigma2)
         return pv * np.exp(-expo)
@@ -144,13 +159,15 @@ class TestFunction:
 def lie_derivative(z_label: str, f: TestFunction) -> TestFunction:
     """Flow derivative of f along the adjoint vector field of H, X or Y:
     L_H = -2x d/dx + 2y d/dy, L_X = 2h d/dx - y d/dh, L_Y = x d/dh - 2h d/dy."""
-    fh, fx, fy = f.diff(0), f.diff(1), f.diff(2)
     if z_label == "H":
-        return (-2) * fx.mul_poly({(0, 1, 0): 1}) + 2 * fy.mul_poly({(0, 0, 1): 1})
+        return ((-2) * f.diff(1).mul_poly({(0, 1, 0): 1})
+                + 2 * f.diff(2).mul_poly({(0, 0, 1): 1}))
     if z_label == "X":
-        return 2 * fx.mul_poly({(1, 0, 0): 1}) + (-1) * fh.mul_poly({(0, 0, 1): 1})
+        return (2 * f.diff(1).mul_poly({(1, 0, 0): 1})
+                + (-1) * f.diff(0).mul_poly({(0, 0, 1): 1}))
     if z_label == "Y":
-        return fh.mul_poly({(0, 1, 0): 1}) + (-2) * fy.mul_poly({(1, 0, 0): 1})
+        return (f.diff(0).mul_poly({(0, 1, 0): 1})
+                + (-2) * f.diff(2).mul_poly({(1, 0, 0): 1}))
     raise ValueError(f"unknown direction {z_label!r}; expected 'H', 'X' or 'Y'")
 
 
@@ -175,25 +192,36 @@ class QuadratureGrid:
             x = (np.arange(self.m) - (self.m - 1) / 2.0) * step
             w = np.full(self.m, step)
         elif self.rule == "gauss":
-            x, w = np.polynomial.legendre.leggauss(self.m)
-            x = (x - x[::-1]) / 2.0 * self.radius
-            w = (w + w[::-1]) / 2.0 * self.radius
+            x, w = _gauss_legendre(self.m)
+            x = x * self.radius
+            w = w * self.radius
         else:
             raise ValueError(f"unknown rule {self.rule!r}")
         return x, w
 
     def nodes(self):
-        """Flattened row-major (a, b, weight) arrays; order is part of the contract."""
+        """(a, b, weight) as broadcastable factors: a an (m, 1) column, b a
+        (1, m) row and weight the (m, m) product of the 1-d weights.  Their
+        row-major broadcast is the flattened node order, a running over rows
+        and b over columns; order is part of the contract."""
         x, w = self.nodes1d()
-        a = np.repeat(x, self.m)
-        b = np.tile(x, self.m)
-        weight = np.outer(w, w).ravel()
-        return a, b, weight
+        return x[:, None], x[None, :], w[:, None] * w[None, :]
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(m: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], antisymmetrized and
+    symmetrized exactly, as read-only arrays shared by every grid of size m."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x = (x - x[::-1]) / 2.0
+    w = (w + w[::-1]) / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _pairwise_sum(values) -> float:
     """Binary-tree summation in a fixed order, for bit-reproducible totals."""
-    buf = np.asarray(values, dtype=float)
+    buf = np.asarray(values, dtype=float).ravel()
     if buf.size == 0:
         return 0.0
     while buf.size > 1:
@@ -211,6 +239,7 @@ def _mirror_pair_values(values: np.ndarray) -> np.ndarray:
     Summing each pair first makes odd integrands cancel exactly in floating
     point.
     """
+    values = values.ravel()
     half = values.size // 2
     out = values[:half] + values[::-1][:half]
     if values.size % 2:
@@ -270,9 +299,10 @@ def _multinomial(m: int, i: int, j: int, k: int) -> int:
     return math.factorial(m) // (math.factorial(i) * math.factorial(j) * math.factorial(k))
 
 
+@functools.lru_cache(maxsize=8)
 def _ad_matrix(z_label: str, degree: int) -> np.ndarray:
     """Derivation action of ad(H|X|Y) on degree-d monomials in (H, X, Y),
-    using [H,X]=2X, [H,Y]=-2Y, [X,Y]=H, as a float matrix."""
+    using [H,X]=2X, [H,Y]=-2Y, [X,Y]=H, as a read-only float matrix."""
     monos = _monomials(degree)
     index = {mono: t for t, mono in enumerate(monos)}
     mat = np.zeros((len(monos), len(monos)))
@@ -295,6 +325,7 @@ def _ad_matrix(z_label: str, degree: int) -> np.ndarray:
                 add((al + 1, be - 1, ga), col, -1.0 * be)
         else:
             raise ValueError(f"unknown direction {z_label!r}")
+    mat.flags.writeable = False
     return mat
 
 
@@ -311,9 +342,9 @@ def _image_moments(degree: int, f: TestFunction, grid: QuadratureGrid,
         a, b, h, y, fw = np.abs(a), np.abs(b), np.abs(h), np.abs(y), np.abs(fw)
     base = fw * w
     for factor in lead(a, b):
-        for al, be, ga in _monomials(degree):
-            coeff = float(_multinomial(degree, al, be, ga))
-            yield coeff * factor * h ** al * x ** be * y ** ga * base
+        for expo in _monomials(degree):
+            coeff = float(_multinomial(degree, *expo))
+            yield _times_powers(coeff * factor, (h, x, y), expo) * base
 
 
 def _norm(components) -> float:

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcone import oracle
 from nilcone.oracle import (CONTROL_MIN, ROUNDOFF, QuadratureGrid, TestFunction, _ad_matrix,
-                            _mirror_pair_values, _pairwise_sum, invariance_report,
-                            invariance_residual, lie_derivative, moment_map,
-                            odd_section_obstruction, odd_section_scale, pair_delta_nplus,
-                            seed_pairing, tail_bound)
+                            _gauss_legendre, _mirror_pair_values, _monomials, _multinomial,
+                            _pairwise_sum, invariance_report, invariance_residual,
+                            lie_derivative, moment_map, odd_section_obstruction,
+                            odd_section_scale, pair_delta_nplus, seed_pairing, tail_bound)
 
 
 def test_moment_map_basis_images():
@@ -98,6 +99,44 @@ def test_grid_nodes_are_negation_symmetric():
             x, w = QuadratureGrid(2.5, m, rule).nodes1d()
             assert np.array_equal(x, -x[::-1])
             assert np.array_equal(w, w[::-1])
+
+
+def test_grid_nodes_repeat_bit_for_bit():
+    for rule in ("midpoint", "gauss"):
+        grid = QuadratureGrid(2.5, 12, rule)
+        x, w = grid.nodes1d()
+        want = x.tobytes(), w.tobytes()
+        x[:] = 0.0
+        w[:] = 0.0
+        again = grid.nodes1d()
+        assert (again[0].tobytes(), again[1].tobytes()) == want, rule
+
+
+def test_cached_rule_and_ad_matrices_are_read_only():
+    for arr in (*_gauss_legendre(12), *(_ad_matrix(z, 2) for z in "HXY")):
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
+def _lie_derivative_by_three_partials(z_label, f):
+    """The flow derivatives built from all three partials, kept as the reference."""
+    fh, fx, fy = f.diff(0), f.diff(1), f.diff(2)
+    return {
+        "H": (-2) * fx.mul_poly({(0, 1, 0): 1}) + 2 * fy.mul_poly({(0, 0, 1): 1}),
+        "X": 2 * fx.mul_poly({(1, 0, 0): 1}) + (-1) * fh.mul_poly({(0, 0, 1): 1}),
+        "Y": fh.mul_poly({(0, 1, 0): 1}) + (-2) * fy.mul_poly({(1, 0, 0): 1}),
+    }[z_label]
+
+
+def test_lie_derivative_matches_the_three_partials_formula():
+    for f in (TestFunction.gaussian(center=(0, 3, 0), sigma=0.6),
+              TestFunction.gaussian(center=(Fraction(1, 3), 1, Fraction(-1, 2)), sigma=0.8,
+                                    poly={(1, 0, 0): 2, (0, 1, 1): -1, (0, 0, 0): 1})):
+        for z in "HXY":
+            got, want = lie_derivative(z, f), _lie_derivative_by_three_partials(z, f)
+            # item order too: TestFunction.value sums the terms in dict order
+            assert list(got.poly.items()) == list(want.poly.items()), z
+            assert (got.center, got.sigma2) == (want.center, want.sigma2)
 
 
 def test_pairing_far_gaussian_vanishes():
@@ -268,3 +307,75 @@ def test_mirror_pairing_cancels_an_odd_integrand_exactly():
             for odd in (a, b, a * a * b + 3 * b * h):
                 assert _pairwise_sum(_mirror_pair_values(odd * base)) == 0.0, (rule, m)
             assert _pairwise_sum(_mirror_pair_values(np.abs(a) * base)) > 0.0
+
+
+def _flat_nodes(grid):
+    """The flat node construction, kept as the reference for the broadcast
+    factors: a, b and weight as m^2 vectors in row-major order, the
+    Gauss-Legendre rule rebuilt on every call."""
+    if grid.rule == "midpoint":
+        step = 2.0 * grid.radius / grid.m
+        x = (np.arange(grid.m) - (grid.m - 1) / 2.0) * step
+        w = np.full(grid.m, step)
+    else:
+        x, w = np.polynomial.legendre.leggauss(grid.m)
+        x = (x - x[::-1]) / 2.0 * grid.radius
+        w = (w + w[::-1]) / 2.0 * grid.radius
+    return np.repeat(x, grid.m), np.tile(x, grid.m), np.outer(w, w).ravel()
+
+
+def _flat_value(f, h, x, y):
+    """TestFunction.value with every factor h^i x^j y^k multiplied in, 0th powers too."""
+    pv = 0.0
+    for (i, j, k), c in f.poly.items():
+        pv = pv + float(c) * h ** i * x ** j * y ** k
+    ch, cx, cy = (float(t) for t in f.center)
+    expo = ((h - ch) ** 2 + (x - cx) ** 2 + (y - cy) ** 2) / float(f.sigma2)
+    return pv * np.exp(-expo)
+
+
+def _flat_image_moments(degree, f, grid, lead=lambda a, b: (1.0,), absolute=False):
+    """_image_moments on the flat nodes with the full monomial product."""
+    a, b, w = _flat_nodes(grid)
+    h, x, y = moment_map(a, b)
+    fw = _flat_value(f, h, x, y)
+    if absolute:
+        a, b, h, y, fw = np.abs(a), np.abs(b), np.abs(h), np.abs(y), np.abs(fw)
+    base = fw * w
+    for factor in lead(a, b):
+        for al, be, ga in _monomials(degree):
+            coeff = float(_multinomial(degree, al, be, ga))
+            yield coeff * factor * h ** al * x ** be * y ** ga * base
+
+
+def _every_pairing_bytes(f, grid, degree):
+    even, odd = 2 * degree, 2 * degree + 1
+    values = [seed_pairing(even, f, grid),
+              *(invariance_residual(even, z, f, grid) for z in "HXY"),
+              odd_section_obstruction(odd, f, grid),
+              odd_section_obstruction(odd, f, grid, negative_control=True),
+              odd_section_scale(odd, f, grid),
+              pair_delta_nplus(f, grid)]
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+def test_tensor_grid_pairings_match_the_flat_reference(monkeypatch):
+    center, sigma = (Fraction(1, 3), 1, Fraction(-1, 2)), 0.8
+    funcs = {"constant": TestFunction.gaussian(center=center, sigma=sigma),
+             "pure power": TestFunction.gaussian(center=center, sigma=sigma,
+                                                 poly={(0, 3, 0): Fraction(-2, 3)}),
+             "mixed": TestFunction.gaussian(center=center, sigma=sigma,
+                                            poly={(1, 0, 0): 2, (0, 1, 1): -1, (0, 0, 0): 1,
+                                                  (2, 1, 0): Fraction(1, 3)})}
+    cases = [(rule, m, degree, name) for rule in ("midpoint", "gauss")
+             for m in (1, 2, 7, 8, 33, 64) for degree in range(4) for name in funcs]
+
+    def run():
+        return [_every_pairing_bytes(funcs[name], QuadratureGrid(4.8, m, rule), degree)
+                for rule, m, degree, name in cases]
+
+    got = run()
+    monkeypatch.setattr(oracle, "_image_moments", _flat_image_moments)
+    want = run()
+    for case, g, w in zip(cases, got, want):
+        assert g == w, case
