@@ -293,7 +293,3 @@ def main(argv=None) -> int:
     else:
         print("\n".join(args.lines(report) + [f"{report['verdict']}: {report['verdict_detail']}"]))
     return 0 if report["verdict"] == "PASS" else 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -43,9 +43,6 @@ class _Numpy:
 
 np = _Numpy()
 
-_AXES = ("h", "x", "y")
-
-
 def moment_map(a, b):
     """Image (h, x, y) = (-a*b/2, a*a/2, -b*b/2) of the plane point (a, b).
 
@@ -398,7 +395,7 @@ def odd_section_obstruction(n: int, f: TestFunction, grid: QuadratureGrid,
     """
     if n % 2 == 0:
         raise ValueError("even n rejected: the obstruction pairing is for odd n")
-    lead = ((lambda a, b: (np.abs(a), np.zeros_like(b))) if negative_control
+    lead = ((lambda a, b: (np.abs(a),)) if negative_control
             else (lambda a, b: (a, b)))
     return _norm(2.0 * _pairwise_sum(_mirror_pair_values(v))
                  for v in _image_moments((n - 1) // 2, f, grid, lead))
@@ -423,19 +420,28 @@ CONTROL_MIN = 1e-3      # the parity-broken negative control must stay above thi
 ROUTES_TOL = 1e-9       # relative gap between the midpoint and Gauss-Legendre pairings
 _RADIUS = 6.0           # grid radius, in Gaussian widths
 SIGMA_WINDOW = (1e-3, 1e3)  # accepted widths; far outside, sigma^2 under- or overflows
+MAX_PAIRING_DEGREE = 8  # largest pairing degree n // 2; the cost grows as degree^2 * grid^2
+
+
+def _check_pairing_degree(n: int) -> None:
+    if n // 2 > MAX_PAIRING_DEGREE:
+        raise ValueError(f"the pairing degree n // 2 = {n // 2} is above "
+                         f"{MAX_PAIRING_DEGREE}; use a smaller n")
 
 
 def invariance_report(n: int, grid: int, sigma: float) -> dict:
     """Relative invariance residuals of the seeded pairing against a Gaussian
     centred at x = 3, for H, X and Y on m x m grids, m = grid/4, grid/2 and
     grid (at least 8); PASS when the worst residual at m = grid is below
-    INVARIANCE_TOL.  Even n only, and grid at least 8, so that the verdict
-    row is the finest.  A pairing that is 0 on some grid leaves the
-    residuals without a scale and is rejected, and so is a width whose
-    grid square cuts off the Gaussian: the tail bound must be below
-    INVARIANCE_TOL times the plain pairing on the finest grid."""
+    INVARIANCE_TOL.  Even n only, with n // 2 at most MAX_PAIRING_DEGREE,
+    and grid at least 8, so that the verdict row is the finest.  A pairing
+    that is 0 on some grid leaves the residuals without a scale and is
+    rejected, and so is a width whose grid square cuts off the Gaussian:
+    the tail bound must be below INVARIANCE_TOL times the plain pairing on
+    the finest grid."""
     if n % 2:
         raise ValueError("invariance checks need even n")
+    _check_pairing_degree(n)
     if grid < 8:
         raise ValueError(f"invariance checks need a grid of at least 8 nodes per axis, got {grid}")
     func = TestFunction.gaussian(center=(0, 3, 0), sigma=sigma)
@@ -471,10 +477,11 @@ def obstruction_report(n: int, grid: int, sigma: float) -> dict:
     """Relative odd-section obstruction and its parity-broken negative
     control against a Gaussian centred at x = 1; PASS when the obstruction
     is roundoff (below ROUNDOFF) and the control exceeds CONTROL_MIN.
-    Odd n only.  A scale of 0 leaves the obstruction nothing to be relative
-    to and is rejected."""
+    Odd n only, with n // 2 at most MAX_PAIRING_DEGREE.  A scale of 0
+    leaves the obstruction nothing to be relative to and is rejected."""
     if n % 2 == 0:
         raise ValueError("obstruction checks need odd n")
+    _check_pairing_degree(n)
     func = TestFunction.gaussian(center=(0, 1, 0), sigma=sigma)
     quad = QuadratureGrid(_RADIUS * sigma, grid)
     scale = odd_section_scale(n, func, quad)

@@ -82,9 +82,9 @@ def test_criterion_03_orbit_bases():
         matrix = change_of_basis(n, kmax)
         expected = Fraction(1)
         for k in range(len(matrix)):
-            for j in range(k + 1, len(matrix)):
-                if matrix[j][k] != 0:
-                    violations.append(("triangular", n, j, k))
+            for j in range(len(matrix)):
+                if j != k and matrix[j][k] != 0:
+                    violations.append(("off-diagonal", n, j, k))
             if matrix[k][k] != expected:
                 violations.append(("diagonal", n, k, matrix[k][k], expected))
             expected *= n - 2 * (k + 1) + 1
@@ -94,7 +94,7 @@ def test_criterion_03_orbit_bases():
             cur = radial_casimir(cur)
         if cur:
             violations.append(("odd-vanishing", n))
-    _finish(3, "orbit matrix upper-triangular with diagonal products; odd orbits die exactly",
+    _finish(3, "orbit matrix diagonal with entries the products d_k; odd orbits die exactly",
             started, 5.0, violations)
 
 

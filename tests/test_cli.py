@@ -120,6 +120,8 @@ def test_exit_one_on_usage_errors():
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.4"],
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.5"],
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.52"],
+    ["numcheck", "--kind", "invariance", "--n", "64", "--grid", "512"],
+    ["numcheck", "--kind", "obstruction", "--n", "63", "--grid", "512"],
 ])
 def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
     assert run(argv) == 1
@@ -221,8 +223,28 @@ def test_symbolic_commands_run_without_numpy():
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0, 0]"
-    import nilcone
-    assert nilcone.TestFunction.__module__ == "nilcone.oracle"
+
+
+_LOADED_SUBMODULES = """
+import sys
+import {module}
+print(sorted(name for name in sys.modules if name.startswith("nilcone.")))
+"""
+
+
+@pytest.mark.parametrize("module, loaded", [
+    ("nilcone", []),
+    ("nilcone.oracle", ["nilcone.oracle"]),
+])
+def test_each_import_loads_only_what_it_uses(module, loaded):
+    # the package root re-exports nothing, so importing the oracle does not
+    # load the exact engine (solver, sl2, transversal, characters, cli)
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SUBMODULES.format(module=module)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(loaded)
 
 
 def test_library_value_errors_exit_one(monkeypatch, capsys):

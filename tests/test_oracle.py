@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcone import oracle
-from nilcone.oracle import (CONTROL_MIN, ROUNDOFF, QuadratureGrid, TestFunction, _ad_matrix,
-                            _gauss_legendre, _mirror_pair_values, _monomials, _multinomial,
-                            _pairwise_sum, invariance_report, invariance_residual,
-                            lie_derivative, moment_map, odd_section_obstruction,
-                            odd_section_scale, pair_delta_nplus, seed_pairing, tail_bound)
+from nilcone.oracle import (CONTROL_MIN, MAX_PAIRING_DEGREE, ROUNDOFF, QuadratureGrid,
+                            TestFunction, _ad_matrix, _gauss_legendre, _mirror_pair_values,
+                            _monomials, _multinomial, _pairwise_sum, invariance_report,
+                            invariance_residual, lie_derivative, moment_map,
+                            obstruction_report, odd_section_obstruction, odd_section_scale,
+                            pair_delta_nplus, seed_pairing, tail_bound)
 
 
 def test_moment_map_basis_images():
@@ -274,6 +275,20 @@ def test_invariance_verdict_fails_on_an_unconverged_grid():
     coarse, fine = invariance_report(2, 32, 0.6), invariance_report(2, 64, 0.6)
     assert [row["m"] for row in coarse["table"]] == [8, 16, 32]
     assert (coarse["verdict"], fine["verdict"]) == ("FAIL", "PASS")
+
+
+def test_pairing_degree_above_the_cap_is_refused_before_any_pairing(monkeypatch):
+    top = 2 * MAX_PAIRING_DEGREE
+    assert invariance_report(top, 8, 1.0)["n"] == top
+    assert obstruction_report(top + 1, 16, 1.0)["n"] == top + 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pairing ran")
+
+    monkeypatch.setattr(oracle, "_image_moments", refuse)
+    for report, n in ((invariance_report, top + 2), (obstruction_report, top + 3)):
+        with pytest.raises(ValueError, match="pairing degree"):
+            report(n, 512, 1.0)
 
 
 def _mirror_pair_values_by_index(values, m):

@@ -206,8 +206,7 @@ def test_change_of_basis_diagonals():
     assert change_of_basis(1, 0) == ((1,),)
 
 
-def test_change_of_basis_upper_triangular_and_product_formula():
-    # upper-triangular, and in fact diagonal: no entry off the diagonal
+def test_change_of_basis_diagonal_and_product_formula():
     for n in range(14):
         kmax = 6 if n % 2 == 0 else (n - 1) // 2
         mat = change_of_basis(n, kmax)
