@@ -7,15 +7,23 @@ half-cone by the plane,
 
 under which pairings against the cone measure become plain double
 integrals over the plane (with density factor 2), evaluated here by
-deterministic tensor-product quadrature.  The grid's nodes come as
-broadcastable factors, a column of a and a row of b, so x = a^2/2 and
-y = -b^2/2 and their powers are computed on m values each; only h and the
-products fill the m x m square, whose row-major order is the flat node
-order that every summation follows.  Every pairing is one image-moment
-integral, built by the shared routine _image_moments: lead factor times
-multinomial times image monomial h^a x^b y^c times f, weighted at the
-image of each node.  Test functions are polynomial times Gaussian, so every
-derivative needed is available in closed form.  Floats are confined to
+deterministic tensor-product quadrature.  Test functions are polynomial
+times Gaussian, so every derivative needed is available in closed form,
+and every image monomial is one plane monomial,
+
+    h^i x^j y^l  =  (-1)^(i+l) 2^-(i+j+l) a^(i+2j) b^(i+2l).
+
+So every pairing is read from the plane moments M[p, q] = sum of
+w_i w_j a_i^p b_j^q E_ij of the Gaussian factor E alone (_plane_moments):
+E is evaluated once on the m x m square of nodes, folded onto a quadrant so
+that each node meets its mirrors (+-a, +-b) first, and contracted as
+V^T E V with a weighted 1-d Vandermonde factor V.  The polynomial part of
+the test function, the lead factor and the monomial of each pairing
+component are handled in exponent space (_components).  On the
+negation-symmetric grids the fold makes every odd moment exactly 0.0,
+which is how the odd-section obstruction cancels in floating point.  Only
+the absolute-value scale pairs |f|, which is not polynomial times
+Gaussian, and contracts that one array instead.  Floats are confined to
 this module; nothing numeric flows back into the symbolic side.  The
 *_report functions at the end are the numcheck batteries, judged against
 the named thresholds defined beside them.
@@ -114,9 +122,12 @@ class TestFunction:
         pv = 0.0
         for expo, c in self.poly.items():
             pv = pv + _times_powers(float(c), (h, x, y), expo)
+        return pv * self.envelope(h, x, y)
+
+    def envelope(self, h, x, y):
+        """The Gaussian factor exp(-|(h, x, y) - center|^2 / sigma^2) alone."""
         ch, cx, cy = (float(t) for t in self.center)
-        expo = ((h - ch) ** 2 + (x - cx) ** 2 + (y - cy) ** 2) / float(self.sigma2)
-        return pv * np.exp(-expo)
+        return np.exp(((h - ch) ** 2 + (x - cx) ** 2 + (y - cy) ** 2) / -float(self.sigma2))
 
     def diff(self, axis: int) -> "TestFunction":
         """Exact partial derivative along coordinate axis 0=h, 1=x, 2=y."""
@@ -216,32 +227,32 @@ def _gauss_legendre(m: int):
     return x, w
 
 
-def _pairwise_sum(values) -> float:
-    """Binary-tree summation in a fixed order, for bit-reproducible totals."""
-    buf = np.asarray(values, dtype=float).ravel()
-    if buf.size == 0:
-        return 0.0
-    while buf.size > 1:
-        if buf.size % 2:
-            buf = np.concatenate([buf, [0.0]])
-        buf = buf[0::2] + buf[1::2]
-    return float(buf[0])
+@functools.lru_cache(maxsize=16)
+def _vandermonde(grid: QuadratureGrid, top: int):
+    """(V, k): the weighted 1-d Vandermonde factor V[i, p] = w_i (x_i / 2^k)^p,
+    p <= top, on the grid's nodes x_i and weights w_i, read-only.  2^k is the
+    least power of two above the radius, so no power exceeds 1 in size and
+    undoing the scaling is exact."""
+    x, w = grid.nodes1d()
+    k = math.frexp(grid.radius)[1]
+    v = w[:, None] * np.vander(np.ldexp(x, -k), top + 1, increasing=True)
+    v.flags.writeable = False
+    return v, k
 
 
-def _mirror_pair_values(values: np.ndarray) -> np.ndarray:
-    """Collapse node values into (v, -v) pair sums (center node kept as is).
-
-    On the symmetric grids above the mirror of flat index (i, j) is
-    (m-1-i, m-1-j), which is flat index m^2-1-t: the array read in reverse.
-    Summing each pair first makes odd integrands cancel exactly in floating
-    point.
-    """
-    values = values.ravel()
-    half = values.size // 2
-    out = values[:half] + values[::-1][:half]
-    if values.size % 2:
-        out = np.concatenate([out, values[half:half + 1]])
-    return out
+def _mirror_fold(values, row_sign: int, col_sign: int):
+    """Fold an m x m array onto its quadrant i, j < ceil(m/2): entry (i, j)
+    becomes (v[i,j] + s v[i',j]) + t (v[i,j'] + s v[i',j']), i' = m-1-i,
+    j' = m-1-j, with s = row_sign and t = col_sign.  A node's mirrors are
+    then summed first, as the mirror images (+-a, +-b) of a monomial a^p b^q
+    are signed by (-1)^p and (-1)^q.  If the array is exactly symmetric under
+    (i, j) -> (i', j'), every fold with s * t = -1 is exactly 0.0, however
+    the sums after it are ordered."""
+    c = (values.shape[0] + 1) // 2
+    top, bottom = values[:c], values[::-1][:c]
+    rows = top + bottom if row_sign > 0 else top - bottom
+    left, right = rows[:, :c], rows[:, ::-1][:, :c]
+    return left + right if col_sign > 0 else left - right
 
 
 def pair_delta_nplus(f: TestFunction, grid: QuadratureGrid) -> float:
@@ -326,22 +337,52 @@ def _ad_matrix(z_label: str, degree: int) -> np.ndarray:
     return mat
 
 
-def _image_moments(degree: int, f: TestFunction, grid: QuadratureGrid,
-                   lead=lambda a, b: (1.0,), absolute: bool = False):
-    """Per-node integrands lead * multinomial(d; al, be, ga) * h^al x^be y^ga * f * w
-    over the moment-map image of the grid, for each factor of lead(a, b) and
-    each degree-d monomial in _monomials order; absolute takes |.| of every
-    factor.  Summed pairwise and doubled, each is one pairing component."""
-    a, b, w = grid.nodes()
-    h, x, y = moment_map(a, b)
-    fw = f.value(h, x, y)
-    if absolute:
-        a, b, h, y, fw = np.abs(a), np.abs(b), np.abs(h), np.abs(y), np.abs(fw)
-    base = fw * w
-    for factor in lead(a, b):
-        for expo in _monomials(degree):
-            coeff = float(_multinomial(degree, *expo))
-            yield _times_powers(coeff * factor, (h, x, y), expo) * base
+def _degree(poly) -> int:
+    return max(map(sum, poly), default=0)
+
+
+def _plane_moments(f: TestFunction, grid: QuadratureGrid, top: int, odd: bool):
+    """(M, k) with M[p][q] = sum_ij w_i w_j (a_i / 2^k)^p (b_j / 2^k)^q E_ij
+    for p, q <= top and p + q odd or even as odd says, E the Gaussian factor
+    of f at the image of each node.  E is evaluated once on the whole m x m
+    square and folded onto a quadrant by _mirror_fold, each parity class by
+    its own signs, before the contraction V^T E V: on the negation-symmetric
+    grids E is exactly symmetric under (a, b) -> (-a, -b), so every odd
+    moment comes out exactly 0.0.  Entries of the other parity are NaN."""
+    a, b, _ = grid.nodes()
+    e = f.envelope(*moment_map(a, b))
+    v, k = _vandermonde(grid, top)
+    half = v[:(grid.m + 1) // 2]
+    if grid.m % 2:              # the middle row and column lie in both halves of the fold
+        half = half.copy()
+        half[-1] *= 0.5
+    moments = np.full((top + 1, top + 1), np.nan)
+    for row_sign in (1, -1) if top else (1,):       # at top 0 only p = q = 0 is read
+        col_sign = -row_sign if odd else row_sign
+        ps, qs = slice(row_sign < 0, None, 2), slice(col_sign < 0, None, 2)
+        moments[ps, qs] = half[:, ps].T @ _mirror_fold(e, row_sign, col_sign) @ half[:, qs]
+    return moments.tolist(), k
+
+
+def _components(moments, k: int, degree: int, poly, lead=(0, 0)) -> list:
+    """Pairing components, one per degree-d monomial in _monomials order: the
+    multinomial times 2 * the integral of lead * monomial * poly against the
+    Gaussian whose moments (M, k) are given, with lead = a^dp b^dq.  Under
+    the moment map h^i x^j y^l is (-1)^(i+l) 2^-(i+j+l) a^(i+2j) b^(i+2l),
+    so each component is a short sum over entries of M, rescaled by exact
+    powers of two; only the entries read are rescaled, so none overflows."""
+    dp, dq = lead
+    terms = [(i, j, l, float(c)) for (i, j, l), c in poly.items()]
+    out = []
+    for al, be, ga in _monomials(degree):
+        total = 0.0
+        for i, j, l, c in terms:
+            eh, ex, ey = al + i, be + j, ga + l
+            p, q = eh + 2 * ex + dp, eh + 2 * ey + dq
+            term = c * math.ldexp(moments[p][q], k * (p + q) - eh - ex - ey)
+            total += -term if (eh + ey) % 2 else term
+        out.append(2.0 * _multinomial(degree, al, be, ga) * total)
+    return out
 
 
 def _norm(components) -> float:
@@ -361,7 +402,9 @@ def seed_pairing(n: int, f: TestFunction, grid: QuadratureGrid) -> np.ndarray:
     """
     if n % 2:
         raise ValueError("the seeded pairing requires even n")
-    return np.array([2.0 * _pairwise_sum(v) for v in _image_moments(n // 2, f, grid)])
+    d = n // 2
+    moments, k = _plane_moments(f, grid, 2 * (d + _degree(f.poly)), odd=False)
+    return np.array(_components(moments, k, d, f.poly))
 
 
 def invariance_residual(n: int, z_label: str, f: TestFunction,
@@ -371,15 +414,19 @@ def invariance_residual(n: int, z_label: str, f: TestFunction,
     Equivariance of the parametrized cone measure makes the two terms agree
     (the flow derivative transposes to its negative against the invariant
     density, which is where the relative sign comes from); the residual is
-    pure quadrature error and must vanish under refinement.  Odd n has no
-    seeded pairing and is rejected.
+    pure quadrature error and must vanish under refinement.  f and L_Z f
+    share their Gaussian factor, so both pairings read one set of moments.
+    Odd n has no seeded pairing and is rejected.
     """
     if n % 2:
         raise ValueError("odd n rejected: the equivariant seed only exists for even n")
-    p_vec = seed_pairing(n, f, grid)
-    q_vec = seed_pairing(n, lie_derivative(z_label, f), grid)
-    action = _ad_matrix(z_label, n // 2)
-    return float(np.linalg.norm(action @ p_vec - q_vec))
+    flow = lie_derivative(z_label, f)
+    d = n // 2
+    top = 2 * (d + max(_degree(f.poly), _degree(flow.poly)))
+    moments, k = _plane_moments(f, grid, top, odd=False)
+    p_vec = np.array(_components(moments, k, d, f.poly))
+    q_vec = np.array(_components(moments, k, d, flow.poly))
+    return float(np.linalg.norm(_ad_matrix(z_label, d) @ p_vec - q_vec))
 
 
 def odd_section_obstruction(n: int, f: TestFunction, grid: QuadratureGrid,
@@ -387,27 +434,45 @@ def odd_section_obstruction(n: int, f: TestFunction, grid: QuadratureGrid,
     """Norm of the pairing 2 * integral of (v tensor image^{(n-1)/2}) f.
 
     The integrand is exactly odd under v -> -v while the image point is
-    even, so on a negation-symmetric grid the (v, -v) pair sums cancel in
-    floating point: the numeric shadow of the missing global section over
-    the half-cone for odd n.  With negative_control=True the first factor
-    v is replaced by |a| times the first basis vector, which breaks the
-    parity and must produce a visibly nonzero value.
+    even, so it reads only odd moments, which the mirror fold of the
+    Gaussian factor cancels to exactly 0.0 in floating point: the numeric
+    shadow of the missing global section over the half-cone for odd n.
+    With negative_control=True the first factor v is replaced by |a| times
+    the first basis vector, which breaks the parity and must produce a
+    visibly nonzero value.
     """
     if n % 2 == 0:
         raise ValueError("even n rejected: the obstruction pairing is for odd n")
-    lead = ((lambda a, b: (np.abs(a),)) if negative_control
-            else (lambda a, b: (a, b)))
-    return _norm(2.0 * _pairwise_sum(_mirror_pair_values(v))
-                 for v in _image_moments((n - 1) // 2, f, grid, lead))
+    d = (n - 1) // 2
+    top = 2 * (d + _degree(f.poly)) + 1
+    if negative_control:
+        # sign(a) a^(p+1) = |a| a^p: the moment at p + 1 with row factor sign(a)
+        # is the moment of |a| a^p, read under the lead a
+        a, b, _ = grid.nodes()
+        v, k = _vandermonde(grid, top)
+        moments = ((np.sign(a) * v).T @ f.envelope(*moment_map(a, b)) @ v).tolist()
+        leads = [(1, 0)]
+    else:
+        moments, k = _plane_moments(f, grid, top, odd=True)
+        leads = [(1, 0), (0, 1)]
+    return _norm(c for lead in leads for c in _components(moments, k, d, f.poly, lead))
 
 
 def odd_section_scale(n: int, f: TestFunction, grid: QuadratureGrid) -> float:
     """Companion magnitude for the obstruction: same pairing with absolute
-    values everywhere, for forming relative residuals."""
+    values everywhere, for forming relative residuals.  |f| is not a
+    polynomial times a Gaussian, so |f * w| is contracted with |V| as one
+    m x m array.  Each component is then a single moment, whose sign the
+    norm drops, as |h| and |y| would."""
     if n % 2 == 0:
         raise ValueError("even n rejected")
-    return _norm(2.0 * _pairwise_sum(v) for v in _image_moments(
-        (n - 1) // 2, f, grid, lambda a, b: (a, b), absolute=True))
+    d = (n - 1) // 2
+    a, b, _ = grid.nodes()
+    v, k = _vandermonde(grid, 2 * d + 1)
+    v = np.abs(v)
+    moments = (v.T @ np.abs(f.value(*moment_map(a, b))) @ v).tolist()
+    return _norm(c for lead in ((1, 0), (0, 1))
+                 for c in _components(moments, k, d, {(0, 0, 0): 1}, lead))
 
 
 # ---------------------------------------------------------------------------
@@ -420,28 +485,19 @@ CONTROL_MIN = 1e-3      # the parity-broken negative control must stay above thi
 ROUTES_TOL = 1e-9       # relative gap between the midpoint and Gauss-Legendre pairings
 _RADIUS = 6.0           # grid radius, in Gaussian widths
 SIGMA_WINDOW = (1e-3, 1e3)  # accepted widths; far outside, sigma^2 under- or overflows
-MAX_PAIRING_DEGREE = 8  # largest pairing degree n // 2; the cost grows as degree^2 * grid^2
-
-
-def _check_pairing_degree(n: int) -> None:
-    if n // 2 > MAX_PAIRING_DEGREE:
-        raise ValueError(f"the pairing degree n // 2 = {n // 2} is above "
-                         f"{MAX_PAIRING_DEGREE}; use a smaller n")
 
 
 def invariance_report(n: int, grid: int, sigma: float) -> dict:
     """Relative invariance residuals of the seeded pairing against a Gaussian
     centred at x = 3, for H, X and Y on m x m grids, m = grid/4, grid/2 and
     grid (at least 8); PASS when the worst residual at m = grid is below
-    INVARIANCE_TOL.  Even n only, with n // 2 at most MAX_PAIRING_DEGREE,
-    and grid at least 8, so that the verdict row is the finest.  A pairing
-    that is 0 on some grid leaves the residuals without a scale and is
-    rejected, and so is a width whose grid square cuts off the Gaussian:
-    the tail bound must be below INVARIANCE_TOL times the plain pairing on
-    the finest grid."""
+    INVARIANCE_TOL.  Even n only, and grid at least 8, so that the verdict
+    row is the finest.  A pairing that is 0 on some grid leaves the
+    residuals without a scale and is rejected, and so is a width whose
+    grid square cuts off the Gaussian: the tail bound must be below
+    INVARIANCE_TOL times the plain pairing on the finest grid."""
     if n % 2:
         raise ValueError("invariance checks need even n")
-    _check_pairing_degree(n)
     if grid < 8:
         raise ValueError(f"invariance checks need a grid of at least 8 nodes per axis, got {grid}")
     func = TestFunction.gaussian(center=(0, 3, 0), sigma=sigma)
@@ -477,11 +533,10 @@ def obstruction_report(n: int, grid: int, sigma: float) -> dict:
     """Relative odd-section obstruction and its parity-broken negative
     control against a Gaussian centred at x = 1; PASS when the obstruction
     is roundoff (below ROUNDOFF) and the control exceeds CONTROL_MIN.
-    Odd n only, with n // 2 at most MAX_PAIRING_DEGREE.  A scale of 0
-    leaves the obstruction nothing to be relative to and is rejected."""
+    Odd n only.  A scale of 0 leaves the obstruction nothing to be
+    relative to and is rejected."""
     if n % 2 == 0:
         raise ValueError("obstruction checks need odd n")
-    _check_pairing_degree(n)
     func = TestFunction.gaussian(center=(0, 1, 0), sigma=sigma)
     quad = QuadratureGrid(_RADIUS * sigma, grid)
     scale = odd_section_scale(n, func, quad)
@@ -508,7 +563,9 @@ def pairing_report(grid: int, sigma: float) -> dict:
     bound is below ROUNDOFF times the base pairing: a grid square that
     cuts off more than that cannot tell the routes apart.  It is rejected
     too unless the two rules pair the plain Gaussian itself within
-    ROUTES_TOL: a grid too coarse for the width cannot either."""
+    ROUTES_TOL, and unless the Gauss-Legendre pairing of the Casimir image
+    moves by less than ROUTES_TOL when its grid is refined by a quarter:
+    a grid too coarse for the width cannot tell them apart either."""
     func = TestFunction.gaussian(center=(0, 1, 0), sigma=sigma)
     grid_mid = QuadratureGrid(_RADIUS * sigma, grid, "midpoint")
     base = pair_delta_nplus(func, grid_mid)
@@ -526,6 +583,14 @@ def pairing_report(grid: int, sigma: float) -> dict:
     casimired = func.casimir()
     route_a = pair_delta_nplus(casimired, grid_mid)
     route_b = pair_delta_nplus(casimired, grid_gauss)
+    finer = QuadratureGrid(grid_gauss.radius, grid_gauss.m + grid_gauss.m // 4, "gauss")
+    route_c = pair_delta_nplus(casimired, finer)
+    refinement = abs(route_b - route_c) / max(abs(route_b), abs(route_c), 1e-30)
+    if not refinement < ROUTES_TOL:
+        raise ValueError(f"the {grid} x {grid} grid is too coarse at sigma={sigma:g}: the "
+                         f"Gauss-Legendre pairings of the Casimir image on {grid_gauss.m} and "
+                         f"{finer.m} nodes per axis differ by {refinement:.3e} of the larger, "
+                         f"not below {ROUTES_TOL:g}; use a finer grid")
     agreement = abs(route_a - route_b) / max(abs(route_a), abs(route_b), 1e-30)
     positive = pair_delta_nplus(
         TestFunction.gaussian(center=(0, 1, 0), sigma=sigma,

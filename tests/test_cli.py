@@ -120,10 +120,12 @@ def test_exit_one_on_usage_errors():
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.4"],
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.5"],
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.52"],
-    ["numcheck", "--kind", "invariance", "--n", "64", "--grid", "512"],
-    ["numcheck", "--kind", "obstruction", "--n", "63", "--grid", "512"],
 ])
 def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
+    _assert_exit_one_with_one_error_line(argv, capsys)
+
+
+def _assert_exit_one_with_one_error_line(argv, capsys):
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -131,6 +133,32 @@ def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
     assert len(lines) == 1, captured.err
     assert lines[0].startswith("error: ")
     assert "Traceback" not in captured.err
+    return lines[0]
+
+
+# The cells where the midpoint and Gauss-Legendre pairings of the Casimir
+# image differ by more than ROUTES_TOL, in a scan of sigma (17 values,
+# geometric in [0.5, 1000], to two decimals) by grid (16 to 496 in steps of
+# 32), plus three cells found before.  On each, the Gauss-Legendre pairing
+# itself moves by about that gap when its grid is refined by a quarter: the
+# grid is too coarse, not the prediction wrong.
+@pytest.mark.parametrize("grid, sigma", [
+    ("112", "2.08"), ("144", "3.34"), ("176", "5.38"), ("304", "13.9"), ("368", "22.36"),
+    ("384", "22.36"), ("432", "35.96"), ("64", "0.6"), ("256", "10"),
+])
+def test_pairing_grid_too_coarse_for_the_casimir_image_exits_one(grid, sigma, capsys):
+    error = _assert_exit_one_with_one_error_line(
+        ["numcheck", "--kind", "pairing", "--grid", grid, "--sigma", sigma], capsys)
+    assert "too coarse" in error and "Casimir image" in error
+
+
+@pytest.mark.parametrize("argv", [
+    ["numcheck", "--kind", "invariance", "--n", "64", "--grid", "512"],
+    ["numcheck", "--kind", "obstruction", "--n", "63", "--grid", "512"],
+])
+def test_numcheck_passes_at_the_n_cap(argv, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("PASS")
 
 
 # Sizes stay cheap to run (n, --max-order <= 8, degree <= 12, --grid <= 32); the
