@@ -24,7 +24,12 @@ negation-symmetric grids the fold makes every odd moment exactly 0.0,
 which is how the odd-section obstruction cancels in floating point.  Only
 the absolute-value scale pairs |f|, which is not polynomial times
 Gaussian, and contracts that one array instead.  Floats are confined to
-this module; nothing numeric flows back into the symbolic side.  The
+this module; nothing numeric flows back into the symbolic side.  Grid nodes
+are two broadcast axis factors; the weights enter only through V.  The
+adjoint action of sl(2) is stated once, in _FLOWS: the terms (i, j, c) of Z
+give the flow derivative L_Z = sum of c xi_j d/dxi_i (lie_derivative) and
+ad(Z) e_j = -c e_i (_ad_matrix), and a Tier-1 test certifies the field
+sum of c xi_j e_i against the 2 x 2 matrix bracket -[Z, xi].  The
 *_report functions at the end are the numcheck batteries, judged against
 the named thresholds defined beside them.
 """
@@ -164,19 +169,27 @@ class TestFunction:
     __mul__ = __rmul__
 
 
+_FLOWS = {"H": ((1, 1, -2), (2, 2, 2)),
+          "X": ((1, 0, 2), (0, 2, -1)),
+          "Y": ((0, 1, 1), (2, 0, -2))}
+
+
+def _flow(z_label: str):
+    if z_label not in _FLOWS:
+        raise ValueError(f"unknown direction {z_label!r}; expected 'H', 'X' or 'Y'")
+    return _FLOWS[z_label]
+
+
 def lie_derivative(z_label: str, f: TestFunction) -> TestFunction:
-    """Flow derivative of f along the adjoint vector field of H, X or Y:
-    L_H = -2x d/dx + 2y d/dy, L_X = 2h d/dx - y d/dh, L_Y = x d/dh - 2h d/dy."""
-    if z_label == "H":
-        return ((-2) * f.diff(1).mul_poly({(0, 1, 0): 1})
-                + 2 * f.diff(2).mul_poly({(0, 0, 1): 1}))
-    if z_label == "X":
-        return (2 * f.diff(1).mul_poly({(1, 0, 0): 1})
-                + (-1) * f.diff(0).mul_poly({(0, 0, 1): 1}))
-    if z_label == "Y":
-        return (f.diff(0).mul_poly({(0, 1, 0): 1})
-                + (-2) * f.diff(2).mul_poly({(1, 0, 0): 1}))
-    raise ValueError(f"unknown direction {z_label!r}; expected 'H', 'X' or 'Y'")
+    """Flow derivative of f along the adjoint vector field of H, X or Y, the
+    terms c xi_j df/dxi_i of _FLOWS gathered in one dict in first-insertion
+    order, cancelled keys dropped at the end, as summing them one by one would."""
+    poly = {}
+    for i, j, c in _flow(z_label):
+        for expo, v in f.diff(i).poly.items():
+            key = tuple(e + (axis == j) for axis, e in enumerate(expo))
+            poly[key] = poly.get(key, 0) + c * v
+    return TestFunction(poly, f.center, f.sigma2)
 
 
 @dataclass(frozen=True)
@@ -208,12 +221,11 @@ class QuadratureGrid:
         return x, w
 
     def nodes(self):
-        """(a, b, weight) as broadcastable factors: a an (m, 1) column, b a
-        (1, m) row and weight the (m, m) product of the 1-d weights.  Their
-        row-major broadcast is the flattened node order, a running over rows
-        and b over columns; order is part of the contract."""
-        x, w = self.nodes1d()
-        return x[:, None], x[None, :], w[:, None] * w[None, :]
+        """(a, b) as broadcastable factors, a an (m, 1) column and b a (1, m) row,
+        whose row-major broadcast is the flattened node order; order is part of
+        the contract.  The weights enter only through _vandermonde."""
+        x, _ = self.nodes1d()
+        return x[:, None], x[None, :]
 
 
 @functools.lru_cache(maxsize=16)
@@ -309,30 +321,17 @@ def _multinomial(m: int, i: int, j: int, k: int) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _ad_matrix(z_label: str, degree: int) -> np.ndarray:
-    """Derivation action of ad(H|X|Y) on degree-d monomials in (H, X, Y),
-    using [H,X]=2X, [H,Y]=-2Y, [X,Y]=H, as a read-only float matrix."""
+    """ad(H|X|Y) on degree-d monomials in (H, X, Y), the derivation with
+    e_j -> -c e_i for each term (i, j, c) of _FLOWS, as a read-only float matrix."""
+    flow = _flow(z_label)
     monos = _monomials(degree)
     index = {mono: t for t, mono in enumerate(monos)}
     mat = np.zeros((len(monos), len(monos)))
-
-    def add(target, source_col, value):
-        mat[index[target], source_col] += value
-
-    for col, (al, be, ga) in enumerate(monos):
-        if z_label == "H":
-            add((al, be, ga), col, 2.0 * be - 2.0 * ga)
-        elif z_label == "X":
-            if al:
-                add((al - 1, be + 1, ga), col, -2.0 * al)
-            if ga:
-                add((al + 1, be, ga - 1), col, 1.0 * ga)
-        elif z_label == "Y":
-            if al:
-                add((al - 1, be, ga + 1), col, 2.0 * al)
-            if be:
-                add((al + 1, be - 1, ga), col, -1.0 * be)
-        else:
-            raise ValueError(f"unknown direction {z_label!r}")
+    for col, mono in enumerate(monos):
+        for i, j, c in flow:
+            if mono[j]:
+                target = tuple(e - (axis == j) + (axis == i) for axis, e in enumerate(mono))
+                mat[index[target], col] -= c * mono[j]
     mat.flags.writeable = False
     return mat
 
@@ -349,8 +348,7 @@ def _plane_moments(f: TestFunction, grid: QuadratureGrid, top: int, odd: bool):
     its own signs, before the contraction V^T E V: on the negation-symmetric
     grids E is exactly symmetric under (a, b) -> (-a, -b), so every odd
     moment comes out exactly 0.0.  Entries of the other parity are NaN."""
-    a, b, _ = grid.nodes()
-    e = f.envelope(*moment_map(a, b))
+    e = f.envelope(*moment_map(*grid.nodes()))
     v, k = _vandermonde(grid, top)
     half = v[:(grid.m + 1) // 2]
     if grid.m % 2:              # the middle row and column lie in both halves of the fold
@@ -448,7 +446,7 @@ def odd_section_obstruction(n: int, f: TestFunction, grid: QuadratureGrid,
     if negative_control:
         # sign(a) a^(p+1) = |a| a^p: the moment at p + 1 with row factor sign(a)
         # is the moment of |a| a^p, read under the lead a
-        a, b, _ = grid.nodes()
+        a, b = grid.nodes()
         v, k = _vandermonde(grid, top)
         moments = ((np.sign(a) * v).T @ f.envelope(*moment_map(a, b)) @ v).tolist()
         leads = [(1, 0)]
@@ -467,10 +465,9 @@ def odd_section_scale(n: int, f: TestFunction, grid: QuadratureGrid) -> float:
     if n % 2 == 0:
         raise ValueError("even n rejected")
     d = (n - 1) // 2
-    a, b, _ = grid.nodes()
     v, k = _vandermonde(grid, 2 * d + 1)
     v = np.abs(v)
-    moments = (v.T @ np.abs(f.value(*moment_map(a, b))) @ v).tolist()
+    moments = (v.T @ np.abs(f.value(*moment_map(*grid.nodes()))) @ v).tolist()
     return _norm(c for lead in ((1, 0), (0, 1))
                  for c in _components(moments, k, d, {(0, 0, 0): 1}, lead))
 
@@ -485,6 +482,17 @@ CONTROL_MIN = 1e-3      # the parity-broken negative control must stay above thi
 ROUTES_TOL = 1e-9       # relative gap between the midpoint and Gauss-Legendre pairings
 _RADIUS = 6.0           # grid radius, in Gaussian widths
 SIGMA_WINDOW = (1e-3, 1e3)  # accepted widths; far outside, sigma^2 under- or overflows
+
+
+def _tail_gate(func: TestFunction, quad: QuadratureGrid, sigma: float, tol: float):
+    """(base, tail): the plain pairing of func on quad and its tail bound;
+    a width whose tail bound is not below tol times the pairing is rejected."""
+    base = pair_delta_nplus(func, quad)
+    tail = tail_bound(func, quad)
+    if not tail < tol * abs(base):
+        raise ValueError(f"the tail bound {tail:.3e} at sigma={sigma:g} is not below "
+                         f"{tol:g} times the pairing {base:.3e}; use a larger sigma")
+    return base, tail
 
 
 def invariance_report(n: int, grid: int, sigma: float) -> dict:
@@ -502,12 +510,7 @@ def invariance_report(n: int, grid: int, sigma: float) -> dict:
         raise ValueError(f"invariance checks need a grid of at least 8 nodes per axis, got {grid}")
     func = TestFunction.gaussian(center=(0, 3, 0), sigma=sigma)
     radius = _RADIUS * sigma
-    finest = QuadratureGrid(radius, grid)
-    base = pair_delta_nplus(func, finest)
-    tail = tail_bound(func, finest)
-    if not tail < INVARIANCE_TOL * abs(base):
-        raise ValueError(f"the tail bound {tail:.3e} at sigma={sigma:g} is not below "
-                         f"{INVARIANCE_TOL:g} times the pairing {base:.3e}; use a larger sigma")
+    _tail_gate(func, QuadratureGrid(radius, grid), sigma, INVARIANCE_TOL)
     table = []
     for m in (max(grid // 4, 8), max(grid // 2, 8), grid):
         quad = QuadratureGrid(radius, m)
@@ -568,11 +571,7 @@ def pairing_report(grid: int, sigma: float) -> dict:
     a grid too coarse for the width cannot tell them apart either."""
     func = TestFunction.gaussian(center=(0, 1, 0), sigma=sigma)
     grid_mid = QuadratureGrid(_RADIUS * sigma, grid, "midpoint")
-    base = pair_delta_nplus(func, grid_mid)
-    tail = tail_bound(func, grid_mid)
-    if not tail < ROUNDOFF * abs(base):
-        raise ValueError(f"the tail bound {tail:.3e} at sigma={sigma:g} is not below "
-                         f"{ROUNDOFF:g} times the pairing {base:.3e}; use a larger sigma")
+    base, tail = _tail_gate(func, grid_mid, sigma, ROUNDOFF)
     grid_gauss = QuadratureGrid(_RADIUS * sigma, max(grid * 3 // 4, 8), "gauss")
     base_gauss = pair_delta_nplus(func, grid_gauss)
     if not abs(base - base_gauss) < ROUTES_TOL * max(abs(base), abs(base_gauss)):

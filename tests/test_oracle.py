@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcone.oracle import (CONTROL_MIN, ROUNDOFF, SIGMA_WINDOW, QuadratureGrid, TestFunction,
-                            _ad_matrix, _gauss_legendre, _mirror_fold, _monomials,
+                            _FLOWS, _ad_matrix, _gauss_legendre, _mirror_fold, _monomials,
                             _multinomial, _plane_moments, _vandermonde, invariance_report,
                             invariance_residual, lie_derivative, moment_map,
                             obstruction_report, odd_section_obstruction, odd_section_scale,
@@ -128,6 +128,30 @@ def _lie_derivative_by_three_partials(z_label, f):
         "X": 2 * fx.mul_poly({(1, 0, 0): 1}) + (-1) * fh.mul_poly({(0, 0, 1): 1}),
         "Y": fh.mul_poly({(0, 1, 0): 1}) + (-2) * fy.mul_poly({(1, 0, 0): 1}),
     }[z_label]
+
+
+_MATRICES = {"H": ((1, 0), (0, -1)), "X": ((0, 1), (0, 0)), "Y": ((0, 0), (1, 0))}
+
+
+def _bracket(u, v):
+    return tuple(tuple(sum(u[r][k] * v[k][c] - v[r][k] * u[k][c] for k in range(2))
+                       for c in range(2)) for r in range(2))
+
+
+def test_flow_table_is_the_negated_matrix_bracket():
+    # xi = (h, x, y) is the matrix [[h, x], [y, -h]], as in the trace identity
+    # test; each table term (i, j, c) adds c xi_j to coordinate i of the field
+    points = [(Fraction(2), Fraction(3), Fraction(-5)), (Fraction(-1, 2), Fraction(5, 3), 0),
+              (Fraction(7, 4), Fraction(-2, 9), Fraction(1, 6))]
+    for z, zmat in _MATRICES.items():
+        for xi in points:
+            field = [Fraction(0)] * 3
+            for i, j, c in _FLOWS[z]:
+                field[i] += c * xi[j]
+            h, x, y = xi
+            br = _bracket(zmat, ((h, x), (y, -h)))
+            assert br[1][1] == -br[0][0], z
+            assert tuple(field) == (-br[0][0], -br[0][1], -br[1][0]), (z, xi)
 
 
 def test_lie_derivative_matches_the_three_partials_formula():
@@ -326,8 +350,7 @@ def test_mirror_pairing_cancels_an_odd_integrand_exactly():
     for rule in ("midpoint", "gauss"):
         for m in (7, 8, 33, 64):
             grid = QuadratureGrid(4.8, m, rule)
-            a, b, w = grid.nodes()
-            base = f.value(*moment_map(a, b)) * w
+            base = f.value(*moment_map(*grid.nodes())) * _weight(grid)
             for signs in ((1, -1), (-1, 1)):
                 assert not _mirror_fold(base, *signs).any(), (rule, m, signs)
             for signs in ((1, 1), (-1, -1)):
@@ -341,6 +364,13 @@ def test_mirror_pairing_cancels_an_odd_integrand_exactly():
                     else:
                         assert math.isnan(odd[p][q]) and math.isfinite(even[p][q])
             assert even[2][0] > 0.0
+
+
+def _weight(grid):
+    """The (m, m) weight of the tensor-product rule, the outer product of the
+    1-d weights; production reads the weights through the Vandermonde factor."""
+    _, w = grid.nodes1d()
+    return w[:, None] * w[None, :]
 
 
 def _flat_nodes(grid):
@@ -466,7 +496,7 @@ def test_tensor_grid_pairings_match_the_flat_reference():
     for rule in ("midpoint", "gauss"):
         for m in (1, 2, 7, 8, 33, 64):
             grid = QuadratureGrid(4.8, m, rule)
-            for got, want in zip(grid.nodes(), _flat_nodes(grid)):
+            for got, want in zip((*grid.nodes(), _weight(grid)), _flat_nodes(grid), strict=True):
                 assert np.broadcast_to(got, (m, m)).tobytes() == want.tobytes(), (rule, m)
             for degree in range(4):
                 for name, f in funcs.items():
