@@ -13,11 +13,20 @@ the sum of V_{2m-4j} over 0 <= j <= m/2); sym_power, sym_power_brute and
 decompose_into_irreducibles stay as the generic computation that certifies
 it, in acceptance criterion 6 (n <= 10, m <= 20) and in
 test_invariant_dim_examples of tests/test_characters.py (n <= 66, m <= 32).
+
+graded_dims_report certifies against the brute-force decomposition of
+Sym^m(adj), which does not depend on n, so it is computed once per degree
+m per process (_brute_adjoint_pieces, bounded at 128 entries, above the 65
+degrees of the CLI's --max-degree) as a read-only mapping, and every n
+reads the same table.  The closed form is evaluated afresh on each call,
+so a wrong invariant_dim still meets an independent brute-force column.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 
 
 class Character:
@@ -185,14 +194,21 @@ def invariant_dim(n: int, m: int) -> int:
     return 1 if n <= 2 * m and (2 * m - n) % 4 == 0 else 0
 
 
+@lru_cache(maxsize=128)
+def _brute_adjoint_pieces(m: int) -> MappingProxyType:
+    """{highest weight: multiplicity} of Sym^m(adj), by brute-force
+    enumeration and peeling, as a read-only mapping.  Memoised per degree:
+    it does not depend on n."""
+    return MappingProxyType(decompose_into_irreducibles(sym_power_brute(m, adjoint_character())))
+
+
 def graded_dims_report(n: int, max_degree: int) -> dict:
     """The supp0-dims command's record: invariant_dim(n, m) for m <= max_degree
     next to the brute-force multiplicity of V_n in Sym^m(adj), with a PASS
     verdict when the two agree and, for odd n, every dimension is zero."""
     degrees = range(max_degree + 1)
     dims = [invariant_dim(n, m) for m in degrees]
-    brute = [decompose_into_irreducibles(sym_power_brute(m, adjoint_character())).get(n, 0)
-             for m in degrees]
+    brute = [_brute_adjoint_pieces(m).get(n, 0) for m in degrees]
     passed = dims == brute and (n % 2 == 0 or not any(dims))
     return {
         "command": "supp0-dims",

@@ -7,6 +7,15 @@ raising image of the lowest weight vector.  Matrix entries are exact (ints
 where integral, Fractions otherwise), so every identity asserted downstream
 is exact; n stays small (tens, not thousands), so the matrices are stored
 dense and multiplied sparsely.
+
+make_irrep is cached per n, and irrep_report certifies each module once
+per process: its structure checks and Casimir scalar are memoised
+(_module_checks, bounded at 128 entries, above the 65 values of the CLI's
+--n) on the Irrep object itself, which hashes by identity.  Keying on the
+module rather than on n means a module that differs from the cached one
+(a corrupted module of the same n, say) is checked afresh, never passed
+on the strength of an earlier PASS.  The memo holds only immutable
+values; each report gets a fresh checks dict.
 """
 
 from __future__ import annotations
@@ -170,25 +179,36 @@ def _matrix_record(mat: EndMatrix) -> list[list[str]]:
     return [[str(v) for v in row] for row in mat.rows]
 
 
+@lru_cache(maxsize=128)
+def _module_checks(rep: Irrep) -> tuple[tuple[tuple[str, bool], ...], object]:
+    """The structure checks of one module as (name, ok) pairs, in report
+    order, and its Casimir scalar (None when the Casimir matrix is not
+    scalar).  Memoised on the module object: Irrep hashes by identity."""
+    n = rep.n
+    checks = [
+        ("commutator_hx", commutator(rep.rho_h, rep.rho_x) == 2 * rep.rho_x),
+        ("commutator_hy", commutator(rep.rho_h, rep.rho_y) == (-2) * rep.rho_y),
+        ("commutator_xy", commutator(rep.rho_x, rep.rho_y) == rep.rho_h),
+        ("raising_nilpotent", (rep.rho_x ** (n + 1)).is_zero()),
+        ("lowering_nilpotent", (rep.rho_y ** (n + 1)).is_zero()),
+    ]
+    try:
+        scalar = casimir_scalar(rep)
+        checks.append(("casimir_scalar", scalar == expected_casimir(n)))
+    except ValueError:
+        scalar = None
+        checks.append(("casimir_scalar", False))
+    return tuple(checks), scalar
+
+
 def irrep_report(n: int) -> dict:
     """The irrep command's record: the module matrices, the Casimir scalar
     and the exact structure checks ([H,X] = 2X, [H,Y] = -2Y, [X,Y] = H,
     X and Y nilpotent of order n+1, Casimir scalar n^2/2 + n), with a PASS
     verdict exactly when every check holds."""
     rep = make_irrep(n)
-    checks = {
-        "commutator_hx": commutator(rep.rho_h, rep.rho_x) == 2 * rep.rho_x,
-        "commutator_hy": commutator(rep.rho_h, rep.rho_y) == (-2) * rep.rho_y,
-        "commutator_xy": commutator(rep.rho_x, rep.rho_y) == rep.rho_h,
-        "raising_nilpotent": (rep.rho_x ** (n + 1)).is_zero(),
-        "lowering_nilpotent": (rep.rho_y ** (n + 1)).is_zero(),
-    }
-    try:
-        scalar = casimir_scalar(rep)
-        checks["casimir_scalar"] = scalar == expected_casimir(n)
-    except ValueError:
-        scalar = None
-        checks["casimir_scalar"] = False
+    pairs, scalar = _module_checks(rep)
+    checks = dict(pairs)
     return {
         "command": "irrep",
         "n": n,

@@ -2,10 +2,11 @@
 
 import pytest
 
+import nilcone.characters as characters
 from nilcone.characters import (Character, adjoint_character,
-                                decompose_into_irreducibles, invariant_dim,
-                                irrep_character, sym_power, sym_power_brute,
-                                tensor_decompose)
+                                decompose_into_irreducibles, graded_dims_report,
+                                invariant_dim, irrep_character, sym_power,
+                                sym_power_brute, tensor_decompose)
 
 
 def test_irrep_character_small():
@@ -101,3 +102,43 @@ def test_invariant_dim_positive_needs_even_n():
 def test_decompose_rejects_asymmetric():
     with pytest.raises(ValueError):
         decompose_into_irreducibles(Character({3: 1}))
+
+
+@pytest.fixture
+def corrupted_brute_table(monkeypatch):
+    """The per-degree brute-force table re-filled with one extra V_2 in
+    Sym^3(adj); the table is emptied before and after, so no corrupted
+    entry outlives the test."""
+    original = characters.sym_power_brute
+
+    def corrupted(m, c):
+        return original(m, c) + (irrep_character(2) if m == 3 else Character.zero())
+
+    characters._brute_adjoint_pieces.cache_clear()
+    monkeypatch.setattr(characters, "sym_power_brute", corrupted)
+    yield
+    characters._brute_adjoint_pieces.cache_clear()
+
+
+def test_graded_dims_report_fails_on_a_corrupted_brute_table(corrupted_brute_table):
+    report = graded_dims_report(2, 12)
+    assert report["verdict"] == "FAIL"
+    assert report["brute_force_dims"][3] == 2
+    assert report["graded_dims"][3] == 1
+    # the extra V_2 leaves the multiplicities of every other V_n alone
+    assert graded_dims_report(0, 12)["verdict"] == "PASS"
+
+
+def test_brute_table_is_computed_once_per_degree():
+    characters._brute_adjoint_pieces.cache_clear()
+    reports = [graded_dims_report(n, 12) for n in range(6)]
+    assert all(report["verdict"] == "PASS" for report in reports)
+    info = characters._brute_adjoint_pieces.cache_info()
+    assert (info.misses, info.hits) == (13, 5 * 13)
+
+
+def test_brute_table_entries_are_read_only():
+    pieces = characters._brute_adjoint_pieces(4)
+    assert dict(pieces) == {8: 1, 4: 1, 0: 1}
+    with pytest.raises(TypeError):
+        pieces[2] = 1

@@ -10,13 +10,16 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nilcone.characters as characters
 import nilcone.cli as cli
 import nilcone.oracle as oracle
+import nilcone.sl2 as sl2
 import nilcone.solver as solver
 from nilcone.cli import UsageError, main, parse_poly
 
@@ -292,6 +295,34 @@ def test_exit_two_on_prediction_mismatch(monkeypatch):
 
     monkeypatch.setattr(cli.solver, "kernel_basis", truncated)
     assert run(["kernel", "--n", "2", "--max-order", "3"]) == 2
+
+
+def test_exit_two_on_a_corrupted_brute_force_table(monkeypatch, capsys):
+    monkeypatch.setattr(characters, "_brute_adjoint_pieces", lambda m: MappingProxyType({}))
+    assert run(["supp0-dims", "--n", "0", "--max-degree", "4"]) == 2
+    assert capsys.readouterr().out.splitlines()[-1].startswith("FAIL")
+
+
+# -- per-process memos ----------------------------------------------------------
+
+
+def test_memos_hold_every_n_and_degree_the_cli_accepts():
+    for memo in (sl2._module_checks, characters._brute_adjoint_pieces):
+        assert memo.cache_info().maxsize >= cli.SIZE_CAP + 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_cold_and_warm_runs_print_the_same_bytes(fmt, capsys):
+    for memo in (sl2._module_checks, characters._brute_adjoint_pieces,
+                 solver.classify_square_finite_supported):
+        memo.cache_clear()
+    for argv in (["irrep", "--n", "12"], ["supp0-dims", "--n", "4", "--max-degree", "12"],
+                 ["classify", "--n", "4", "--no-nminus"]):
+        outputs = []
+        for _ in range(2):
+            assert run(argv + ["--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], argv
 
 
 # -- reports ------------------------------------------------------------------

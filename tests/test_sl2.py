@@ -59,15 +59,52 @@ def test_casimir_scalar_rejects_corrupted_module():
         casimir_scalar(broken)
 
 
-def test_irrep_report_fails_on_a_corrupted_module(monkeypatch):
+def _broken_module(monkeypatch):
+    """make_irrep patched to return the n = 2 module with its lowering
+    operator replaced by the raising one."""
     rep = make_irrep(2)
-    broken = type(rep)(2, rep.rho_h, rep.rho_x, rep.rho_x)  # lowering replaced by raising
+    broken = type(rep)(2, rep.rho_h, rep.rho_x, rep.rho_x)
     monkeypatch.setattr(sl2, "make_irrep", lambda n: broken)
-    report = sl2.irrep_report(2)
+
+
+def _assert_fails_on_the_broken_module(report):
     assert report["verdict"] == "FAIL"
     assert report["casimir_scalar"] is None
     assert [name for name, ok in report["checks"].items() if not ok] == [
         "commutator_hy", "commutator_xy", "casimir_scalar"]
+
+
+def test_irrep_report_fails_on_a_corrupted_module(monkeypatch):
+    _broken_module(monkeypatch)
+    _assert_fails_on_the_broken_module(sl2.irrep_report(2))
+
+
+def test_corrupted_module_fails_after_the_genuine_one_passed(monkeypatch):
+    # the checks are memoised on the module object, not on n, so a PASS
+    # for n = 2 cannot certify a different module of the same n
+    assert sl2.irrep_report(2)["verdict"] == "PASS"
+    _broken_module(monkeypatch)
+    _assert_fails_on_the_broken_module(sl2.irrep_report(2))
+
+
+def test_module_checks_are_memoised_per_module():
+    sl2.irrep_report(5)
+    hits = sl2._module_checks.cache_info().hits
+    assert sl2.irrep_report(5)["verdict"] == "PASS"
+    assert sl2._module_checks.cache_info().hits == hits + 1
+
+
+def test_mutating_a_record_leaves_the_next_one_intact():
+    first = sl2.irrep_report(3)
+    first["checks"]["commutator_hx"] = False
+    first["checks"]["bogus"] = False
+    first["rho_h"][0][0] = "bogus"
+    second = sl2.irrep_report(3)
+    assert second["checks"] == dict.fromkeys(
+        ["commutator_hx", "commutator_hy", "commutator_xy", "raising_nilpotent",
+         "lowering_nilpotent", "casimir_scalar"], True)
+    assert second["rho_h"][0][0] == "-3"
+    assert second["verdict"] == "PASS"
 
 
 @pytest.mark.parametrize("n", range(17))
