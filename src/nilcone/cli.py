@@ -12,6 +12,10 @@ or as stable JSON, ending in that record's PASS/FAIL verdict:
     numcheck    oracle.invariance_report, obstruction_report, pairing_report
 
 This module parses arguments and renders records; it decides no verdict.
+`solve --poly` reads a monic polynomial in t as a sum of terms
+[sign] [coefficient ['*']] ['t' ['^' integer]], where a coefficient is an
+integer or integer/integer, every term after the first is signed, and
+blanks may separate tokens: "t^2-3/2*t+1", "-3/2*t^2 + t^3 + t".
 Exit codes: 0 verdict PASS, 1 bad arguments (one "error: ..." line on
 stderr), 2 verdict FAIL (a prediction mismatch is treated as a
 build-breaking defect).
@@ -66,61 +70,26 @@ _width = _ranged(float, lambda v: oracle.SIGMA_WINDOW[0] <= v <= oracle.SIGMA_WI
 
 
 # ---------------------------------------------------------------------------
-# polynomial argument syntax: monic in t, rational coefficients,
-# e.g. "t^3", "t^2-3/2*t+1".  A term is [coeff ['*' t] | coeff t | t] ['^' int].
+# --poly: one match of _TERM per term of the grammar in the module docstring
 
-_POLY_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d*)?)|([-+*^t])|(\S))")
-
-
-def _tokenize_poly(text: str) -> list[str]:
-    tokens = []
-    for number, symbol, other in _POLY_TOKEN.findall(text):
-        if other:
-            raise UsageError(f"unexpected character {other!r} in polynomial {text!r}")
-        if "/" in number and not number.partition("/")[2].strip("0"):  # "3/", "1/0"
-            raise UsageError(f"bad rational literal in {text!r}")
-        tokens.append(number or symbol)
-    return tokens
-
-
-def _pop_term(tokens: list[str]) -> tuple[int, Fraction]:
-    """Pop one term off the reversed token list; returns (degree, coeff)."""
-    coeff = Fraction(tokens.pop()) if tokens and tokens[-1][0].isdigit() else None
-    if coeff is not None and tokens[-1:] == ["*"]:
-        tokens.pop()
-        if tokens[-1:] != ["t"]:
-            raise UsageError("expected 't' after '*'")
-    if tokens[-1:] != ["t"]:
-        if coeff is None:
-            raise UsageError("expected a coefficient or 't'")
-        return 0, coeff
-    tokens.pop()
-    degree = 1
-    if tokens[-1:] == ["^"]:
-        tokens.pop()
-        if not tokens or not tokens[-1].isdigit():
-            raise UsageError("expected an integer exponent after '^'")
-        degree = int(tokens.pop())
-    return degree, Fraction(1) if coeff is None else coeff
+_TERM = re.compile(r"\s*([-+]?)\s*(?:(\d+)(?:/(\d+))?\s*(\*?))?"   # [sign] [coefficient ['*']]
+                   r"\s*(?:(t)\s*(?:\^\s*(\d+))?)?\s*")              # ['t' ['^' integer]]
 
 
 def parse_poly(text: str) -> CasimirPolynomial:
     """Parse a monic polynomial in t with rational coefficients, of degree
     at most SIZE_CAP."""
-    tokens = _tokenize_poly(text)[::-1]
     coeffs: dict[int, Fraction] = {}
-    sign = -1 if tokens[-1:] == ["-"] else 1
-    if tokens[-1:] in (["+"], ["-"]):
-        tokens.pop()
-    while True:
-        degree, coeff = _pop_term(tokens)
-        coeffs[degree] = coeffs.get(degree, 0) + sign * coeff
-        if not tokens:
-            break
-        tok = tokens.pop()
-        if tok not in ("+", "-"):
-            raise UsageError(f"expected '+' or '-' between terms, got {tok!r}")
-        sign = -1 if tok == "-" else 1
+    pos = 0
+    while not coeffs or pos < len(text):
+        term = _TERM.match(text, pos)
+        sign, num, den, star, t, exponent = term.groups()
+        if not (num or t) or (star and not t) or (pos and not sign) or (den and not int(den)):
+            raise UsageError(f"malformed term at position {pos} of polynomial {text!r}")
+        degree = int(exponent or 1) if t else 0
+        coeff = Fraction(int(num), int(den or 1)) if num else Fraction(1)
+        coeffs[degree] = coeffs.get(degree, 0) + (-coeff if sign == "-" else coeff)
+        pos = term.end()
     degree = max(coeffs)
     if degree > SIZE_CAP:
         raise UsageError(f"the polynomial degree must be at most {SIZE_CAP}, got {degree}")

@@ -130,7 +130,7 @@ class Irrep:
     rho_y: EndMatrix
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def make_irrep(n: int) -> Irrep:
     """Build the irreducible of highest weight n on the ladder basis.
 

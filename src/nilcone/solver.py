@@ -168,7 +168,7 @@ def ladder_length(n: int) -> int | None:
     first vanishes, or None when no weight ever does.  It sends b_k to
     (n-2k-1) b_{k+1}, so the ladder stops at the k where n-2k-1 = 0, which
     exists for odd n only."""
-    return next((k + 1 for k in range(n) if n - 2 * k - 1 == 0), None)
+    return (n + 1) // 2 if n % 2 else None
 
 
 def predicted_kernel_dim(n: int, K: int) -> int:
@@ -359,7 +359,7 @@ _CERTIFY_ORDER = 6
 _CERTIFY_DEGREE = 16
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1024)
 def classify_square_finite_supported(query: GlobalQuery) -> bool:
     """True iff the only Casimir-finite invariant distribution supported on
     the cone over the given invariant open set is zero: always true, and

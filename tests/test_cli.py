@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -58,6 +59,117 @@ def test_parse_poly_rejects(bad):
 def test_parse_poly_rejects_degree_over_cap(text):
     with pytest.raises(UsageError, match="at most 64"):
         parse_poly(text)
+
+
+# The --poly language, pinned string by string: an accepted string maps to
+# its lower coefficients a_0 a_1 ..., a rejected one to the semantic rule it
+# breaks, or to SYNTAX.
+SYNTAX = "syntax"
+_SEMANTIC = ("at most 64", "at least 1", "monic")
+_POLY_LANGUAGE = {
+    "t": "0",
+    "t^2": "0 0",
+    "t^3": "0 0 0",
+    "t^2+t": "0 1",
+    "t-1": "-1",
+    "t^3+t": "0 1 0",
+    "t^2-3/2*t+1": "1 -3/2",
+    "t^3-3/2*t+1": "1 -3/2 0",
+    " t^2 + 1/3 ": "1/3 0",
+    "-t+t^2": "0 -1",
+    "2t^2-t^2+t": "0 1",
+    "t ^ 3": "0 0 0",
+    "+t^2": "0 0",
+    "t^0+t": "1",
+    "t^1": "0",
+    "t^2 - 0": "0 0",
+    "0 + t": "0",
+    "t^2 + 0*t": "0 0",
+    "3 + t^2": "3 0",
+    "t^2 + 2 * t": "0 2",
+    "1/2t + t^2": "0 1/2",
+    "t^2+1/02": "1/2 0",
+    "t^007 + 007": "7 0 0 0 0 0 0",
+    "t\t^\t2\n+\n1": "1 0",
+    "t^2-t-t": "0 -2",
+    "t^2+3t^1": "0 3",
+    "-3/2*t^2 + t^3 + t": "0 1 -3/2",
+    "1/2*t^2 + 1/2*t^2 - t": "0 -1",
+    "t^64": "0 " * 64,
+    "t^64 - 5/7*t^63 + t": "0 1 " + "0 " * 61 + "-5/7",
+    "\u0663 + t": "3",   # ARABIC-INDIC DIGIT THREE is a decimal digit
+    "2*t^2": "monic",
+    "-t": "monic",
+    "t^2 - t^2 + t": "monic",
+    "t^2 + t^2": "monic",
+    "5": "at least 1",
+    "t^0": "at least 1",
+    "t^65": "at most 64",
+    "t^65+t^2": "at most 64",
+    "t^65 - t^65 + t": "at most 64",
+    "t^99999999999": "at most 64",
+    "q+1": SYNTAX,
+    "t^": SYNTAX,
+    "t^x": SYNTAX,
+    "": SYNTAX,
+    " ": SYNTAX,
+    "+": SYNTAX,
+    "t^2++1": SYNTAX,
+    "t^2-+1": SYNTAX,
+    "--t": SYNTAX,
+    "*t": SYNTAX,
+    "3/": SYNTAX,
+    "t+3*": SYNTAX,
+    "t^2-1/2*": SYNTAX,
+    "t+1/0": SYNTAX,
+    "t+1/00": SYNTAX,
+    "0/0*t": SYNTAX,
+    "1/2/3*t": SYNTAX,
+    "1 /2 + t": SYNTAX,
+    "1/ 2 + t": SYNTAX,
+    "t*2": SYNTAX,
+    "tt": SYNTAX,
+    "t^2t": SYNTAX,
+    "t 2": SYNTAX,
+    "t^2 1": SYNTAX,
+    "2^3": SYNTAX,
+    "t^3^2": SYNTAX,
+    "t^-1": SYNTAX,
+    "t^1/2": SYNTAX,
+    "t^2+1.5": SYNTAX,
+    "t^2+1_000": SYNTAX,
+    "T": SYNTAX,
+    "t^2 -": SYNTAX,
+}
+
+
+@pytest.mark.parametrize("text, expected", _POLY_LANGUAGE.items())
+def test_poly_language_is_frozen(text, expected):
+    if expected == SYNTAX:
+        with pytest.raises(UsageError) as info:
+            parse_poly(text)
+        assert not any(rule in str(info.value) for rule in _SEMANTIC)
+    elif expected in _SEMANTIC:
+        with pytest.raises(UsageError, match=expected):
+            parse_poly(text)
+    else:
+        assert parse_poly(text).lower_coeffs == tuple(map(Fraction, expected.split()))
+
+
+@pytest.mark.parametrize("text, pos", [("", 0), ("t+3*", 1), ("t^2 1", 4), ("t+1/\u0660", 1)])
+def test_syntax_errors_name_the_text_and_the_position(text, pos):
+    with pytest.raises(UsageError, match=re.escape(f"position {pos} of polynomial {text!r}")):
+        parse_poly(text)
+
+
+_COEFF = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction), st.fractions())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_COEFF, min_size=1, max_size=cli.SIZE_CAP))
+def test_printed_polynomial_parses_back(lower):
+    p = solver.CasimirPolynomial(tuple(lower))
+    assert parse_poly(str(p)) == p
 
 
 def test_size_validators_reject_values_over_cap():
@@ -123,6 +235,7 @@ def test_exit_one_on_usage_errors():
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.4"],
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.5"],
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.52"],
+    ["solve", "--n", "3", "--poly", "t+1/\u0660"],   # a zero denominator in another script
 ])
 def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
     _assert_exit_one_with_one_error_line(argv, capsys)
@@ -307,8 +420,13 @@ def test_exit_two_on_a_corrupted_brute_force_table(monkeypatch, capsys):
 
 
 def test_memos_hold_every_n_and_degree_the_cli_accepts():
-    for memo in (sl2._module_checks, characters._brute_adjoint_pieces):
-        assert memo.cache_info().maxsize >= cli.SIZE_CAP + 1
+    # classify is keyed on n and the three open-set flags: 8 queries per n
+    for memo, queries in ((sl2.make_irrep, cli.SIZE_CAP + 1),
+                          (sl2._module_checks, cli.SIZE_CAP + 1),
+                          (characters._brute_adjoint_pieces, cli.SIZE_CAP + 1),
+                          (solver.classify_square_finite_supported, (cli.SIZE_CAP + 1) * 8)):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and maxsize >= queries, memo
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
