@@ -14,10 +14,13 @@ and every image monomial is one plane monomial,
     h^i x^j y^l  =  (-1)^(i+l) 2^-(i+j+l) a^(i+2j) b^(i+2l).
 
 So every pairing is read from the plane moments M[p, q] = sum of
-w_i w_j a_i^p b_j^q E_ij of the Gaussian factor E alone (_plane_moments):
-E is evaluated once on the m x m square of nodes, folded onto a quadrant so
-that each node meets its mirrors (+-a, +-b) first, and contracted as
-V^T E V with a weighted 1-d Vandermonde factor V.  The polynomial part of
+w_i w_j a_i^p b_j^q E_ij of the Gaussian factor E alone (_plane_moments).
+E on the m x m square of nodes is memoised per (centre, width, grid),
+read-only, with bound 8 (_node_envelope), and L_Z f is memoised per (Z, f)
+(lie_derivative), so the pairings of one battery that share a Gaussian and
+a grid evaluate E once.  E is folded onto a quadrant so that each node
+meets its mirrors (+-a, +-b) first, and contracted as V^T E V with a
+weighted 1-d Vandermonde factor V.  The polynomial part of
 the test function, the lead factor and the monomial of each pairing
 component are handled in exponent space (_components).  On the
 negation-symmetric grids the fold makes every odd moment exactly 0.0,
@@ -77,6 +80,30 @@ def _times_powers(lead, axes, expo):
     return lead
 
 
+def _poly_value(poly, h, x, y):
+    """The polynomial part at points that broadcast together, summed in dict order."""
+    pv = 0.0
+    for expo, c in poly.items():
+        pv = pv + _times_powers(float(c), (h, x, y), expo)
+    return pv
+
+
+def _gaussian(center, sigma2, h, x, y):
+    """exp(-|(h, x, y) - center|^2 / sigma2) at points that broadcast together.
+    The squares are summed left to right into one buffer of the broadcast
+    shape, which is then divided and exponentiated in place: the same float
+    operations in the same order as the plain expression, without an array
+    per step."""
+    ch, cx, cy = (float(t) for t in center)
+    out = np.empty(np.broadcast_shapes(np.shape(h), np.shape(x), np.shape(y)))
+    np.subtract(h, ch, out=out)
+    np.square(out, out=out)
+    out += np.square(x - cx)
+    out += np.square(y - cy)
+    np.divide(out, -float(sigma2), out=out)
+    return np.exp(out, out=out)
+
+
 def _diff_poly(poly, axis):
     out = {}
     for expo, c in poly.items():
@@ -124,15 +151,12 @@ class TestFunction:
 
     def value(self, h, x, y):
         """Evaluate at floats or at numpy arrays that broadcast together."""
-        pv = 0.0
-        for expo, c in self.poly.items():
-            pv = pv + _times_powers(float(c), (h, x, y), expo)
-        return pv * self.envelope(h, x, y)
+        return _poly_value(self.poly, h, x, y) * self.envelope(h, x, y)
 
     def envelope(self, h, x, y):
-        """The Gaussian factor exp(-|(h, x, y) - center|^2 / sigma^2) alone."""
-        ch, cx, cy = (float(t) for t in self.center)
-        return np.exp(((h - ch) ** 2 + (x - cx) ** 2 + (y - cy) ** 2) / -float(self.sigma2))
+        """The Gaussian factor exp(-|(h, x, y) - center|^2 / sigma^2) alone,
+        a scalar at scalar points."""
+        return _gaussian(self.center, self.sigma2, h, x, y)[()]
 
     def diff(self, axis: int) -> "TestFunction":
         """Exact partial derivative along coordinate axis 0=h, 1=x, 2=y."""
@@ -183,13 +207,23 @@ def _flow(z_label: str):
 def lie_derivative(z_label: str, f: TestFunction) -> TestFunction:
     """Flow derivative of f along the adjoint vector field of H, X or Y, the
     terms c xi_j df/dxi_i of _FLOWS gathered in one dict in first-insertion
-    order, cancelled keys dropped at the end, as summing them one by one would."""
+    order, cancelled keys dropped at the end, as summing them one by one would.
+    The polynomial is memoised per (Z, f) by value; each call gets its own
+    TestFunction."""
+    items = _lie_items(z_label, tuple(f.poly.items()), f.center, f.sigma2)
+    return TestFunction(dict(items), f.center, f.sigma2)
+
+
+@functools.lru_cache(maxsize=8)
+def _lie_items(z_label: str, items: tuple, center: tuple, sigma2: Fraction) -> tuple:
+    """The polynomial of L_Z f as an immutable tuple of items, f given by value."""
+    f = TestFunction(dict(items), center, sigma2)
     poly = {}
     for i, j, c in _flow(z_label):
         for expo, v in f.diff(i).poly.items():
             key = tuple(e + (axis == j) for axis, e in enumerate(expo))
             poly[key] = poly.get(key, 0) + c * v
-    return TestFunction(poly, f.center, f.sigma2)
+    return tuple(TestFunction(poly, center, sigma2).poly.items())
 
 
 @dataclass(frozen=True)
@@ -250,6 +284,17 @@ def _vandermonde(grid: QuadratureGrid, top: int):
     v = w[:, None] * np.vander(np.ldexp(x, -k), top + 1, increasing=True)
     v.flags.writeable = False
     return v, k
+
+
+@functools.lru_cache(maxsize=8)
+def _node_envelope(center: tuple, sigma2: Fraction, grid: QuadratureGrid):
+    """E, the Gaussian factor of the given centre and squared width at the
+    image of every node of grid, as a read-only m x m array.  Every pairing
+    of one battery that shares a Gaussian and a grid reads this one array;
+    the bound holds the distinct (Gaussian, grid) pairs of a battery."""
+    e = _gaussian(center, sigma2, *moment_map(*grid.nodes()))
+    e.flags.writeable = False
+    return e
 
 
 def _mirror_fold(values, row_sign: int, col_sign: int):
@@ -343,12 +388,12 @@ def _degree(poly) -> int:
 def _plane_moments(f: TestFunction, grid: QuadratureGrid, top: int, odd: bool):
     """(M, k) with M[p][q] = sum_ij w_i w_j (a_i / 2^k)^p (b_j / 2^k)^q E_ij
     for p, q <= top and p + q odd or even as odd says, E the Gaussian factor
-    of f at the image of each node.  E is evaluated once on the whole m x m
-    square and folded onto a quadrant by _mirror_fold, each parity class by
+    of f at the image of each node.  E is read from _node_envelope and
+    folded onto a quadrant by _mirror_fold, each parity class by
     its own signs, before the contraction V^T E V: on the negation-symmetric
     grids E is exactly symmetric under (a, b) -> (-a, -b), so every odd
     moment comes out exactly 0.0.  Entries of the other parity are NaN."""
-    e = f.envelope(*moment_map(*grid.nodes()))
+    e = _node_envelope(f.center, f.sigma2, grid)
     v, k = _vandermonde(grid, top)
     half = v[:(grid.m + 1) // 2]
     if grid.m % 2:              # the middle row and column lie in both halves of the fold
@@ -446,9 +491,9 @@ def odd_section_obstruction(n: int, f: TestFunction, grid: QuadratureGrid,
     if negative_control:
         # sign(a) a^(p+1) = |a| a^p: the moment at p + 1 with row factor sign(a)
         # is the moment of |a| a^p, read under the lead a
-        a, b = grid.nodes()
         v, k = _vandermonde(grid, top)
-        moments = ((np.sign(a) * v).T @ f.envelope(*moment_map(a, b)) @ v).tolist()
+        moments = ((np.sign(grid.nodes()[0]) * v).T
+                   @ _node_envelope(f.center, f.sigma2, grid) @ v).tolist()
         leads = [(1, 0)]
     else:
         moments, k = _plane_moments(f, grid, top, odd=True)
@@ -467,7 +512,9 @@ def odd_section_scale(n: int, f: TestFunction, grid: QuadratureGrid) -> float:
     d = (n - 1) // 2
     v, k = _vandermonde(grid, 2 * d + 1)
     v = np.abs(v)
-    moments = (v.T @ np.abs(f.value(*moment_map(*grid.nodes()))) @ v).tolist()
+    values = _poly_value(f.poly, *moment_map(*grid.nodes())) * _node_envelope(
+        f.center, f.sigma2, grid)
+    moments = (v.T @ np.abs(values) @ v).tolist()
     return _norm(c for lead in ((1, 0), (0, 1))
                  for c in _components(moments, k, d, {(0, 0, 0): 1}, lead))
 

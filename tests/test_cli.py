@@ -443,6 +443,24 @@ def test_cold_and_warm_runs_print_the_same_bytes(fmt, capsys):
         assert outputs[0] == outputs[1], argv
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_cold_and_warm_numcheck_runs_print_the_same_bytes(fmt, capsys):
+    # the envelope memo holds every distinct (Gaussian, grid) pair of one
+    # battery: the warm run evaluates no envelope again
+    for argv, pairs in ((["numcheck", "--kind", "invariance", "--n", "2"], 3),
+                        (["numcheck", "--kind", "obstruction", "--n", "3"], 1),
+                        (["numcheck", "--kind", "pairing"], 4)):
+        oracle._node_envelope.cache_clear()
+        oracle._lie_items.cache_clear()
+        outputs = []
+        for _ in range(2):
+            assert run(argv + ["--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+            info = oracle._node_envelope.cache_info()
+            assert (info.misses, info.currsize) == (pairs, pairs), argv
+        assert outputs[0] == outputs[1], argv
+
+
 # -- reports ------------------------------------------------------------------
 
 

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcone.oracle import (CONTROL_MIN, ROUNDOFF, SIGMA_WINDOW, QuadratureGrid, TestFunction,
-                            _FLOWS, _ad_matrix, _gauss_legendre, _mirror_fold, _monomials,
-                            _multinomial, _plane_moments, _vandermonde, invariance_report,
+                            _FLOWS, _ad_matrix, _gauss_legendre, _lie_items, _mirror_fold,
+                            _monomials, _multinomial, _node_envelope, _plane_moments,
+                            _vandermonde, invariance_report,
                             invariance_residual, lie_derivative, moment_map,
                             obstruction_report, odd_section_obstruction, odd_section_scale,
                             pair_delta_nplus, seed_pairing, tail_bound)
@@ -114,10 +115,32 @@ def test_grid_nodes_repeat_bit_for_bit():
 
 
 def test_cached_rule_and_ad_matrices_are_read_only():
+    f = TestFunction.gaussian(center=(0, 1, 0), sigma=0.5)
     for arr in (*_gauss_legendre(12), *(_ad_matrix(z, 2) for z in "HXY"),
-                _vandermonde(QuadratureGrid(2.5, 12, "gauss"), 5)[0]):
+                _vandermonde(QuadratureGrid(2.5, 12, "gauss"), 5)[0],
+                _node_envelope(f.center, f.sigma2, QuadratureGrid(2.5, 12, "gauss"))):
         with pytest.raises(ValueError):
             arr[...] = 0.0
+
+
+def test_node_envelope_is_the_envelope_at_the_node_images():
+    # against TestFunction.envelope and against the plain expression the
+    # in-place buffer replaces, bit for bit; the centre scales with the width
+    # so that E is not 0.0 on every node
+    for sigma in (SIGMA_WINDOW[0], 0.75, SIGMA_WINDOW[1]):
+        f = TestFunction.gaussian(
+            center=[Fraction(sigma) * t for t in (Fraction(1, 3), 2, Fraction(-1, 2))],
+            sigma=sigma)
+        ch, cx, cy = (float(t) for t in f.center)
+        for rule in ("midpoint", "gauss"):
+            for m in (11, 12):
+                grid = QuadratureGrid(6.0 * sigma, m, rule)
+                h, x, y = moment_map(*grid.nodes())
+                got = _node_envelope(f.center, f.sigma2, grid)
+                plain = np.exp(((h - ch) ** 2 + (x - cx) ** 2 + (y - cy) ** 2) / -float(f.sigma2))
+                assert got.shape == (m, m)
+                assert np.array_equal(got, f.envelope(h, x, y)), (sigma, rule, m)
+                assert np.array_equal(got, plain), (sigma, rule, m)
 
 
 def _lie_derivative_by_three_partials(z_label, f):
@@ -163,6 +186,23 @@ def test_lie_derivative_matches_the_three_partials_formula():
             # item order too: TestFunction.value sums the terms in dict order
             assert list(got.poly.items()) == list(want.poly.items()), z
             assert (got.center, got.sigma2) == (want.center, want.sigma2)
+
+
+def test_lie_derivative_memo_hands_each_caller_its_own_copy():
+    def build():
+        return TestFunction.gaussian(center=(Fraction(1, 3), 1, Fraction(-1, 2)), sigma=0.8,
+                                     poly={(1, 0, 0): 2, (0, 1, 1): -1, (0, 0, 0): 1})
+
+    _lie_items.cache_clear()
+    first = lie_derivative("X", build())
+    want = list(first.poly.items())
+    first.poly[(0, 0, 0)] = Fraction(99)
+    first.poly.popitem()
+    hits = _lie_items.cache_info().hits
+    again = lie_derivative("X", build())          # value-equal, built separately
+    assert _lie_items.cache_info().hits == hits + 1
+    assert list(again.poly.items()) == want
+    assert again.poly is not first.poly
 
 
 def test_pairing_far_gaussian_vanishes():
