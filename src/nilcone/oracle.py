@@ -15,14 +15,22 @@ and every image monomial is one plane monomial,
 
 So every pairing is read from the plane moments M[p, q] = sum of
 w_i w_j a_i^p b_j^q E_ij of the Gaussian factor E alone (_plane_moments).
-E on the m x m square of nodes is memoised per (centre, width, grid),
-read-only, with bound 8 (_node_envelope), and L_Z f is memoised per (Z, f)
-(lie_derivative), so the pairings of one battery that share a Gaussian and
-a grid evaluate E once.  E is folded onto a quadrant so that each node
-meets its mirrors (+-a, +-b) first, and contracted as V^T E V with a
-weighted 1-d Vandermonde factor V.  The polynomial part of
-the test function, the lead factor and the monomial of each pairing
-component are handled in exponent space (_components).  On the
+The nodes are exactly negation-symmetric and moment_map(-a, -b) is
+moment_map(a, b) bit for bit, so E is exactly symmetric through the centre
+of the m x m square: only its upper ceil(m/2) rows are evaluated and kept
+(_node_envelope), and the two readers of the whole square complete it by
+that mirror, with no exp (_full_envelope).  E is folded onto a quadrant so
+that each node meets its mirrors (+-a, +-b) first, the lower rows read as
+reversed upper rows (_mirror_fold), and contracted as V^T E V with a
+weighted 1-d Vandermonde factor V.  A battery computes each piece once:
+bounded, read-only memos hold E per Gaussian and grid, each fold per sign
+pair (_envelope_fold), each moment table per degree and parity, V per grid
+and degree, and L_Z f per (Z, f) (lie_derivative).  The Gaussian is keyed
+by the float centre and width that _gaussian reads (_gaussian_key), so
+widths and centres that round to the same floats share one entry and no
+Fraction is hashed per lookup.  The polynomial part of the test
+function, the lead factor and the monomial of each pairing component are
+handled in exponent space (_components).  On the
 negation-symmetric grids the fold makes every odd moment exactly 0.0,
 which is how the odd-section obstruction cancels in floating point.  Only
 the absolute-value scale pairs |f|, which is not polynomial times
@@ -273,12 +281,13 @@ def _gauss_legendre(m: int):
     return x, w
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=64)
 def _vandermonde(grid: QuadratureGrid, top: int):
     """(V, k): the weighted 1-d Vandermonde factor V[i, p] = w_i (x_i / 2^k)^p,
     p <= top, on the grid's nodes x_i and weights w_i, read-only.  2^k is the
     least power of two above the radius, so no power exceeds 1 in size and
-    undoing the scaling is exact."""
+    undoing the scaling is exact.  The bound holds the (grid, top) pairs of a
+    battery."""
     x, w = grid.nodes1d()
     k = math.frexp(grid.radius)[1]
     v = w[:, None] * np.vander(np.ldexp(x, -k), top + 1, increasing=True)
@@ -286,30 +295,59 @@ def _vandermonde(grid: QuadratureGrid, top: int):
     return v, k
 
 
+def _gaussian_key(f: TestFunction) -> tuple:
+    """(centre, squared width) of f's Gaussian factor as the floats _gaussian
+    reads: the key of the envelope, fold and moment memos, so that two
+    Gaussians that _gaussian cannot tell apart share one entry."""
+    return tuple(float(t) for t in f.center), float(f.sigma2)
+
+
 @functools.lru_cache(maxsize=8)
-def _node_envelope(center: tuple, sigma2: Fraction, grid: QuadratureGrid):
-    """E, the Gaussian factor of the given centre and squared width at the
-    image of every node of grid, as a read-only m x m array.  Every pairing
-    of one battery that shares a Gaussian and a grid reads this one array;
-    the bound holds the distinct (Gaussian, grid) pairs of a battery."""
-    e = _gaussian(center, sigma2, *moment_map(*grid.nodes()))
+def _node_envelope(center: tuple, sigma2: float, grid: QuadratureGrid):
+    """The upper ceil(m/2) rows of E, the Gaussian factor of the given centre
+    and squared width at the image of every node of grid, read-only.  The
+    nodes are exactly negation-symmetric and moment_map(-a, -b) is
+    moment_map(a, b) bit for bit, so E[m-1-i, m-1-j] = E[i, j] exactly: the
+    rows kept determine E (_full_envelope), and the exp runs on half of it.
+    The bound holds the distinct (Gaussian, grid) pairs of a battery."""
+    a, b = grid.nodes()
+    e = _gaussian(center, sigma2, *moment_map(a[:(grid.m + 1) // 2], b))
     e.flags.writeable = False
     return e
 
 
-def _mirror_fold(values, row_sign: int, col_sign: int):
-    """Fold an m x m array onto its quadrant i, j < ceil(m/2): entry (i, j)
-    becomes (v[i,j] + s v[i',j]) + t (v[i,j'] + s v[i',j']), i' = m-1-i,
-    j' = m-1-j, with s = row_sign and t = col_sign.  A node's mirrors are
-    then summed first, as the mirror images (+-a, +-b) of a monomial a^p b^q
-    are signed by (-1)^p and (-1)^q.  If the array is exactly symmetric under
-    (i, j) -> (i', j'), every fold with s * t = -1 is exactly 0.0, however
-    the sums after it are ordered."""
-    c = (values.shape[0] + 1) // 2
-    top, bottom = values[:c], values[::-1][:c]
-    rows = top + bottom if row_sign > 0 else top - bottom
+def _full_envelope(center: tuple, sigma2: float, grid: QuadratureGrid):
+    """E on the whole m x m square, its lower rows the stored upper rows
+    mirrored through the centre, with no exp."""
+    upper = _node_envelope(center, sigma2, grid)
+    return np.concatenate((upper, upper[:grid.m // 2][::-1, ::-1]))
+
+
+def _mirror_fold(upper, row_sign: int, col_sign: int):
+    """Fold an m x m array v that is exactly symmetric under (i, j) -> (i', j'),
+    i' = m-1-i, j' = m-1-j, given by its upper ceil(m/2) rows, onto its
+    quadrant i, j < ceil(m/2): entry (i, j) becomes
+    (v[i,j] + s v[i',j]) + t (v[i,j'] + s v[i',j']) with s = row_sign and
+    t = col_sign, reading v[i',j] as the reversed upper row v[i,j'].  A node's
+    mirrors are then summed first, as the mirror images (+-a, +-b) of a
+    monomial a^p b^q are signed by (-1)^p and (-1)^q.  Every fold with
+    s * t = -1 is a sum of exactly cancelling terms, so it is exactly 0.0,
+    however the sums after it are ordered."""
+    c = (upper.shape[1] + 1) // 2
+    mirror = upper[:, ::-1]
+    rows = upper + mirror if row_sign > 0 else upper - mirror
     left, right = rows[:, :c], rows[:, ::-1][:, :c]
     return left + right if col_sign > 0 else left - right
+
+
+@functools.lru_cache(maxsize=32)
+def _envelope_fold(center: tuple, sigma2: float, grid: QuadratureGrid,
+                   row_sign: int, col_sign: int):
+    """_mirror_fold of the Gaussian factor E on grid, read-only.  The bound
+    holds the distinct (Gaussian, grid, signs) keys of a battery."""
+    fold = _mirror_fold(_node_envelope(center, sigma2, grid), row_sign, col_sign)
+    fold.flags.writeable = False
+    return fold
 
 
 def pair_delta_nplus(f: TestFunction, grid: QuadratureGrid) -> float:
@@ -385,15 +423,17 @@ def _degree(poly) -> int:
     return max(map(sum, poly), default=0)
 
 
-def _plane_moments(f: TestFunction, grid: QuadratureGrid, top: int, odd: bool):
+@functools.lru_cache(maxsize=64)
+def _plane_moments(center: tuple, sigma2: float, grid: QuadratureGrid, top: int, odd: bool):
     """(M, k) with M[p][q] = sum_ij w_i w_j (a_i / 2^k)^p (b_j / 2^k)^q E_ij
     for p, q <= top and p + q odd or even as odd says, E the Gaussian factor
-    of f at the image of each node.  E is read from _node_envelope and
-    folded onto a quadrant by _mirror_fold, each parity class by
-    its own signs, before the contraction V^T E V: on the negation-symmetric
-    grids E is exactly symmetric under (a, b) -> (-a, -b), so every odd
-    moment comes out exactly 0.0.  Entries of the other parity are NaN."""
-    e = _node_envelope(f.center, f.sigma2, grid)
+    of the given centre and squared width at the image of each node, as an
+    immutable tuple of rows.  E is read folded onto a quadrant
+    (_envelope_fold), each parity class by its own signs, before the
+    contraction V^T E V: on the negation-symmetric grids E is exactly
+    symmetric under (a, b) -> (-a, -b), so every odd moment comes out exactly
+    0.0.  Entries of the other parity are NaN.  The bound holds the distinct
+    (Gaussian, grid, top, parity) keys of a battery."""
     v, k = _vandermonde(grid, top)
     half = v[:(grid.m + 1) // 2]
     if grid.m % 2:              # the middle row and column lie in both halves of the fold
@@ -403,8 +443,9 @@ def _plane_moments(f: TestFunction, grid: QuadratureGrid, top: int, odd: bool):
     for row_sign in (1, -1) if top else (1,):       # at top 0 only p = q = 0 is read
         col_sign = -row_sign if odd else row_sign
         ps, qs = slice(row_sign < 0, None, 2), slice(col_sign < 0, None, 2)
-        moments[ps, qs] = half[:, ps].T @ _mirror_fold(e, row_sign, col_sign) @ half[:, qs]
-    return moments.tolist(), k
+        fold = _envelope_fold(center, sigma2, grid, row_sign, col_sign)
+        moments[ps, qs] = half[:, ps].T @ fold @ half[:, qs]
+    return tuple(map(tuple, moments.tolist())), k
 
 
 def _components(moments, k: int, degree: int, poly, lead=(0, 0)) -> list:
@@ -446,7 +487,7 @@ def seed_pairing(n: int, f: TestFunction, grid: QuadratureGrid) -> np.ndarray:
     if n % 2:
         raise ValueError("the seeded pairing requires even n")
     d = n // 2
-    moments, k = _plane_moments(f, grid, 2 * (d + _degree(f.poly)), odd=False)
+    moments, k = _plane_moments(*_gaussian_key(f), grid, 2 * (d + _degree(f.poly)), False)
     return np.array(_components(moments, k, d, f.poly))
 
 
@@ -466,7 +507,7 @@ def invariance_residual(n: int, z_label: str, f: TestFunction,
     flow = lie_derivative(z_label, f)
     d = n // 2
     top = 2 * (d + max(_degree(f.poly), _degree(flow.poly)))
-    moments, k = _plane_moments(f, grid, top, odd=False)
+    moments, k = _plane_moments(*_gaussian_key(f), grid, top, False)
     p_vec = np.array(_components(moments, k, d, f.poly))
     q_vec = np.array(_components(moments, k, d, flow.poly))
     return float(np.linalg.norm(_ad_matrix(z_label, d) @ p_vec - q_vec))
@@ -493,10 +534,10 @@ def odd_section_obstruction(n: int, f: TestFunction, grid: QuadratureGrid,
         # is the moment of |a| a^p, read under the lead a
         v, k = _vandermonde(grid, top)
         moments = ((np.sign(grid.nodes()[0]) * v).T
-                   @ _node_envelope(f.center, f.sigma2, grid) @ v).tolist()
+                   @ _full_envelope(*_gaussian_key(f), grid) @ v).tolist()
         leads = [(1, 0)]
     else:
-        moments, k = _plane_moments(f, grid, top, odd=True)
+        moments, k = _plane_moments(*_gaussian_key(f), grid, top, True)
         leads = [(1, 0), (0, 1)]
     return _norm(c for lead in leads for c in _components(moments, k, d, f.poly, lead))
 
@@ -512,8 +553,8 @@ def odd_section_scale(n: int, f: TestFunction, grid: QuadratureGrid) -> float:
     d = (n - 1) // 2
     v, k = _vandermonde(grid, 2 * d + 1)
     v = np.abs(v)
-    values = _poly_value(f.poly, *moment_map(*grid.nodes())) * _node_envelope(
-        f.center, f.sigma2, grid)
+    values = _poly_value(f.poly, *moment_map(*grid.nodes())) * _full_envelope(
+        *_gaussian_key(f), grid)
     moments = (v.T @ np.abs(values) @ v).tolist()
     return _norm(c for lead in ((1, 0), (0, 1))
                  for c in _components(moments, k, d, {(0, 0, 0): 1}, lead))

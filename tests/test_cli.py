@@ -419,7 +419,11 @@ def test_exit_two_on_a_corrupted_brute_force_table(monkeypatch, capsys):
 # -- per-process memos ----------------------------------------------------------
 
 
-def test_memos_hold_every_n_and_degree_the_cli_accepts():
+def _oracle_memos():
+    return [obj for _, obj in sorted(vars(oracle).items()) if hasattr(obj, "cache_clear")]
+
+
+def test_memos_hold_every_n_and_degree_the_cli_accepts(capsys):
     # classify is keyed on n and the three open-set flags: 8 queries per n
     for memo, queries in ((sl2.make_irrep, cli.SIZE_CAP + 1),
                           (sl2._module_checks, cli.SIZE_CAP + 1),
@@ -427,6 +431,22 @@ def test_memos_hold_every_n_and_degree_the_cli_accepts():
                           (solver.classify_square_finite_supported, (cli.SIZE_CAP + 1) * 8)):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize >= queries, memo
+    # each oracle memo is bounded and holds every key of each battery at the
+    # caps: a cold run evicts nothing, so every miss is still held
+    memos = _oracle_memos()
+    assert {memo.__name__ for memo in memos} >= {"_node_envelope", "_envelope_fold",
+                                                 "_plane_moments", "_vandermonde"}
+    grid = ["--grid", str(cli.GRID_CAP)]
+    for argv in (["numcheck", "--kind", "invariance", "--n", str(cli.SIZE_CAP), *grid],
+                 ["numcheck", "--kind", "obstruction", "--n", str(cli.SIZE_CAP - 1), *grid],
+                 ["numcheck", "--kind", "pairing", *grid]):
+        for memo in memos:
+            memo.cache_clear()
+        assert run(argv) == 0
+        for memo in memos:
+            info = memo.cache_info()
+            assert info.maxsize is not None and info.currsize == info.misses, (argv, memo)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -446,19 +466,57 @@ def test_cold_and_warm_runs_print_the_same_bytes(fmt, capsys):
 @pytest.mark.parametrize("fmt", ["table", "json"])
 def test_cold_and_warm_numcheck_runs_print_the_same_bytes(fmt, capsys):
     # the envelope memo holds every distinct (Gaussian, grid) pair of one
-    # battery: the warm run evaluates no envelope again
+    # battery, and every oracle memo each of its keys: the warm run misses
+    # none of them, so it evaluates no envelope, fold or moment table again
+    memos = _oracle_memos()
     for argv, pairs in ((["numcheck", "--kind", "invariance", "--n", "2"], 3),
                         (["numcheck", "--kind", "obstruction", "--n", "3"], 1),
                         (["numcheck", "--kind", "pairing"], 4)):
-        oracle._node_envelope.cache_clear()
-        oracle._lie_items.cache_clear()
-        outputs = []
+        for memo in memos:
+            memo.cache_clear()
+        outputs, misses = [], []
         for _ in range(2):
             assert run(argv + ["--format", fmt]) == 0
             outputs.append(capsys.readouterr().out)
+            misses.append({memo.__name__: memo.cache_info().misses for memo in memos})
             info = oracle._node_envelope.cache_info()
             assert (info.misses, info.currsize) == (pairs, pairs), argv
         assert outputs[0] == outputs[1], argv
+        assert misses[0] == misses[1], argv
+        assert all(misses[0][name] for name in ("_envelope_fold", "_plane_moments")), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["--kind", "invariance", "--n", "2", "--grid", "64"],
+    ["--kind", "invariance", "--n", "4", "--grid", "33"],
+    ["--kind", "obstruction", "--n", "3", "--grid", "33"],
+    ["--kind", "obstruction", "--n", "5", "--grid", "16"],
+    ["--kind", "pairing", "--grid", "96"],
+    ["--kind", "pairing", "--grid", "97"]])
+def test_numcheck_reads_nothing_from_its_memos_but_what_it_would_compute(argv, capsys,
+                                                                          monkeypatch):
+    # every oracle memo cleared before each public oracle call, so that no
+    # call reads what an earlier call left, against a warm run: the same
+    # exit code and the same JSON bytes
+    argv = ["numcheck", *argv, "--format", "json"]
+    run(argv)
+    capsys.readouterr()
+    warm = run(argv), capsys.readouterr().out
+    memos = _oracle_memos()
+
+    def cold(fn):
+        def call(*args, **kwargs):
+            for memo in memos:
+                memo.cache_clear()
+            return fn(*args, **kwargs)
+        return call
+
+    for name, obj in vars(oracle).copy().items():
+        if (callable(obj) and not name.startswith("_") and not isinstance(obj, type)
+                and getattr(obj, "__module__", None) == oracle.__name__):
+            monkeypatch.setattr(oracle, name, cold(obj))
+    assert (run(argv), capsys.readouterr().out) == warm
+    assert warm[0] in (0, 2) and warm[1]
 
 
 # -- reports ------------------------------------------------------------------

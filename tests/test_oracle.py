@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcone.oracle import (CONTROL_MIN, ROUNDOFF, SIGMA_WINDOW, QuadratureGrid, TestFunction,
-                            _FLOWS, _ad_matrix, _gauss_legendre, _lie_items, _mirror_fold,
+                            _FLOWS, _ad_matrix, _envelope_fold, _full_envelope,
+                            _gauss_legendre, _gaussian_key, _lie_items, _mirror_fold,
                             _monomials, _multinomial, _node_envelope, _plane_moments,
                             _vandermonde, invariance_report,
                             invariance_residual, lie_derivative, moment_map,
@@ -116,17 +117,26 @@ def test_grid_nodes_repeat_bit_for_bit():
 
 def test_cached_rule_and_ad_matrices_are_read_only():
     f = TestFunction.gaussian(center=(0, 1, 0), sigma=0.5)
+    grid = QuadratureGrid(2.5, 12, "gauss")
+    key = _gaussian_key(f)
     for arr in (*_gauss_legendre(12), *(_ad_matrix(z, 2) for z in "HXY"),
-                _vandermonde(QuadratureGrid(2.5, 12, "gauss"), 5)[0],
-                _node_envelope(f.center, f.sigma2, QuadratureGrid(2.5, 12, "gauss"))):
+                _vandermonde(grid, 5)[0], _node_envelope(*key, grid),
+                *(_envelope_fold(*key, grid, *signs)
+                  for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)))):
         with pytest.raises(ValueError):
             arr[...] = 0.0
+    for odd in (False, True):
+        moments, _ = _plane_moments(*key, grid, 5, odd)
+        with pytest.raises(TypeError):
+            moments[0] = moments[1]
+        with pytest.raises(TypeError):
+            moments[0][0] = 0.0
 
 
 def test_node_envelope_is_the_envelope_at_the_node_images():
-    # against TestFunction.envelope and against the plain expression the
-    # in-place buffer replaces, bit for bit; the centre scales with the width
-    # so that E is not 0.0 on every node
+    # the stored upper ceil(m/2) rows, against TestFunction.envelope and
+    # against the plain expression the in-place buffer replaces, bit for bit;
+    # the centre scales with the width so that E is not 0.0 on every node
     for sigma in (SIGMA_WINDOW[0], 0.75, SIGMA_WINDOW[1]):
         f = TestFunction.gaussian(
             center=[Fraction(sigma) * t for t in (Fraction(1, 3), 2, Fraction(-1, 2))],
@@ -136,11 +146,35 @@ def test_node_envelope_is_the_envelope_at_the_node_images():
             for m in (11, 12):
                 grid = QuadratureGrid(6.0 * sigma, m, rule)
                 h, x, y = moment_map(*grid.nodes())
-                got = _node_envelope(f.center, f.sigma2, grid)
+                got = _node_envelope(*_gaussian_key(f), grid)
                 plain = np.exp(((h - ch) ** 2 + (x - cx) ** 2 + (y - cy) ** 2) / -float(f.sigma2))
-                assert got.shape == (m, m)
-                assert np.array_equal(got, f.envelope(h, x, y)), (sigma, rule, m)
-                assert np.array_equal(got, plain), (sigma, rule, m)
+                c = (m + 1) // 2
+                assert got.shape == (c, m)
+                assert np.array_equal(got, f.envelope(h, x, y)[:c]), (sigma, rule, m)
+                assert np.array_equal(got, plain[:c]), (sigma, rule, m)
+
+
+def test_mirror_completion_is_the_envelope_on_every_node():
+    # the lower rows completed through the centre, with no exp, against E
+    # evaluated on the whole square, bit for bit; the Gaussian sits within a
+    # width of the image of the node (m // 4, m - 1), so that E is not 0.0
+    # on every node even where the images are far apart, and off the axis
+    # h = 0, so that the completion must reverse both rows and columns
+    for sigma in SIGMA_WINDOW:
+        for rule in ("midpoint", "gauss"):
+            for m in (1, 2, 7, 11, 12, 64, 127, 128, 193):
+                grid = QuadratureGrid(6.0 * sigma, m, rule)
+                x, _ = grid.nodes1d()
+                image = moment_map(Fraction(x[m // 4]), Fraction(x[-1]))
+                f = TestFunction.gaussian(
+                    center=[c + Fraction(sigma) * t
+                            for c, t in zip(image, (Fraction(1, 3), 1, Fraction(-1, 2)))],
+                    sigma=sigma)
+                full = f.envelope(*moment_map(*grid.nodes()))
+                got = _full_envelope(*_gaussian_key(f), grid)
+                case = (sigma, rule, m)
+                assert f.center[0] != 0 and full[m // 4, -1] > 0.0, case
+                assert got.shape == full.shape and got.tobytes() == full.tobytes(), case
 
 
 def _lie_derivative_by_three_partials(z_label, f):
@@ -376,11 +410,14 @@ def _mirror_fold_by_index(values, row_sign, col_sign):
 
 
 def test_mirror_pairing_matches_the_index_reference():
+    # the fold reads the upper ceil(m/2) rows of an exactly centrally
+    # symmetric array; the reference reads all m
     rng = np.random.default_rng(20261018)
     for m in range(1, 65):
-        values = rng.standard_normal((m, m))
+        v = rng.standard_normal((m, m))
+        values = v + v[::-1, ::-1]
         for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            got = _mirror_fold(values, *signs)
+            got = _mirror_fold(values[:(m + 1) // 2], *signs)
             assert got.tobytes() == _mirror_fold_by_index(values, *signs).tobytes(), (m, signs)
 
 
@@ -390,13 +427,13 @@ def test_mirror_pairing_cancels_an_odd_integrand_exactly():
     for rule in ("midpoint", "gauss"):
         for m in (7, 8, 33, 64):
             grid = QuadratureGrid(4.8, m, rule)
-            base = f.value(*moment_map(*grid.nodes())) * _weight(grid)
+            base = (f.value(*moment_map(*grid.nodes())) * _weight(grid))[:(m + 1) // 2]
             for signs in ((1, -1), (-1, 1)):
                 assert not _mirror_fold(base, *signs).any(), (rule, m, signs)
             for signs in ((1, 1), (-1, -1)):
                 assert _mirror_fold(base, *signs).any(), (rule, m, signs)
-            odd, _ = _plane_moments(f, grid, 7, odd=True)
-            even, _ = _plane_moments(f, grid, 7, odd=False)
+            odd, _ = _plane_moments(*_gaussian_key(f), grid, 7, True)
+            even, _ = _plane_moments(*_gaussian_key(f), grid, 7, False)
             for p in range(8):
                 for q in range(8):
                     if (p + q) % 2:
@@ -404,6 +441,11 @@ def test_mirror_pairing_cancels_an_odd_integrand_exactly():
                     else:
                         assert math.isnan(odd[p][q]) and math.isfinite(even[p][q])
             assert even[2][0] > 0.0
+    # the zeros are computed sums, not built: a NaN on one node reaches every fold
+    poisoned = np.ones((4, 7))
+    poisoned[1, 2] = np.nan
+    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        assert np.isnan(_mirror_fold(poisoned, *signs)).any(), signs
 
 
 def _weight(grid):
