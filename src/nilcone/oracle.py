@@ -14,31 +14,34 @@ and every image monomial is one plane monomial,
     h^i x^j y^l  =  (-1)^(i+l) 2^-(i+j+l) a^(i+2j) b^(i+2l).
 
 So every pairing is read from the plane moments M[p, q] = sum of
-w_i w_j a_i^p b_j^q E_ij of the Gaussian factor E alone (_plane_moments).
-The nodes are exactly negation-symmetric and moment_map(-a, -b) is
-moment_map(a, b) bit for bit, so E is exactly symmetric through the centre
-of the m x m square: only its upper ceil(m/2) rows are evaluated and kept
-(_node_envelope), and the two readers of the whole square complete it by
-that mirror, with no exp (_full_envelope).  E is folded onto a quadrant so
-that each node meets its mirrors (+-a, +-b) first, the lower rows read as
-reversed upper rows (_mirror_fold), and contracted as V^T E V with a
-weighted 1-d Vandermonde factor V.  A battery computes each piece once:
-bounded, read-only memos hold E per Gaussian and grid, each fold per sign
-pair (_envelope_fold), each moment table per degree and parity, V per grid
-and degree, and L_Z f per (Z, f) (lie_derivative).  The Gaussian is keyed
-by the float centre and width that _gaussian reads (_gaussian_key), so
+w_i w_j a_i^p b_j^q E_ij of the Gaussian factor E alone.  The plane covers
+the half-cone twice, and the grids keep the deck transformation
+(a, b) -> (-a, -b) exactly: the nodes are negation-symmetric and
+moment_map(-a, -b) is moment_map(a, b) bit for bit, so
+E[m-1-i, m-1-j] = E[i, j], and the weighted 1-d Vandermonde factor
+V[i, p] = w_i (x_i / 2^k)^p has V[m-1-i, p] = (-1)^p V[i, p].  Only the
+upper ceil(m/2) rows of E are evaluated (_node_envelope), and one
+contraction U over them (_plane_moments), the middle row of an odd grid
+at half weight, gives M = (1 + (-1)^(p+q)) U, because the lower rows add
+(-1)^(p+q) times the upper ones.  Every odd moment is thus exactly
+0 * U = 0.0, which is how the odd-section obstruction cancels in floating
+point, and the same U gives its negative control, the moments of sign(a),
+as ((-1)^(p+q) - 1) U, since the upper rows are the rows a < 0.
+_components reads each pairing component from U with its parity factor,
+handling the polynomial part of the test function, the lead factor and
+the monomial of each component in exponent space.  Only the
+absolute-value scale pairs |f|, which is not polynomial times Gaussian,
+and contracts that one array over the upper rows instead.  A battery
+computes each piece once: bounded, read-only memos hold E per Gaussian
+and grid, U per Gaussian, grid and degree, the weighted monomials of each
+degree, and L_Z f per (Z, f) (lie_derivative).  The Gaussian is keyed by
+the float centre and width that _gaussian reads (_gaussian_key), so
 widths and centres that round to the same floats share one entry and no
-Fraction is hashed per lookup.  The polynomial part of the test
-function, the lead factor and the monomial of each pairing component are
-handled in exponent space (_components).  On the
-negation-symmetric grids the fold makes every odd moment exactly 0.0,
-which is how the odd-section obstruction cancels in floating point.  Only
-the absolute-value scale pairs |f|, which is not polynomial times
-Gaussian, and contracts that one array instead.  Floats are confined to
-this module; nothing numeric flows back into the symbolic side.  Grid nodes
-are two broadcast axis factors; the weights enter only through V.  The
-adjoint action of sl(2) is stated once, in _FLOWS: the terms (i, j, c) of Z
-give the flow derivative L_Z = sum of c xi_j d/dxi_i (lie_derivative) and
+Fraction is hashed per lookup.  Floats are confined to this module;
+nothing numeric flows back into the symbolic side.  Grid nodes are two
+broadcast axis factors; the weights enter only through V.  The adjoint
+action of sl(2) is stated once, in _FLOWS: the terms (i, j, c) of Z give
+the flow derivative L_Z = sum of c xi_j d/dxi_i (lie_derivative) and
 ad(Z) e_j = -c e_i (_ad_matrix), and a Tier-1 test certifies the field
 sum of c xi_j e_i against the 2 x 2 matrix bracket -[Z, xi].  The
 *_report functions at the end are the numcheck batteries, judged against
@@ -281,18 +284,21 @@ def _gauss_legendre(m: int):
     return x, w
 
 
-@functools.lru_cache(maxsize=64)
 def _vandermonde(grid: QuadratureGrid, top: int):
-    """(V, k): the weighted 1-d Vandermonde factor V[i, p] = w_i (x_i / 2^k)^p,
-    p <= top, on the grid's nodes x_i and weights w_i, read-only.  2^k is the
-    least power of two above the radius, so no power exceeds 1 in size and
-    undoing the scaling is exact.  The bound holds the (grid, top) pairs of a
-    battery."""
+    """(half, V, k): the weighted 1-d Vandermonde factor
+    V[i, p] = w_i (x_i / 2^k)^p, p <= top, on the grid's nodes x_i and
+    weights w_i, and its upper ceil(m/2) rows, the middle row of an odd grid
+    at half weight: that row is its own mirror, so the lower half counts it
+    again.  2^k is the least power of two above the radius, so no power
+    exceeds 1 in size and undoing the scaling is exact."""
     x, w = grid.nodes1d()
     k = math.frexp(grid.radius)[1]
     v = w[:, None] * np.vander(np.ldexp(x, -k), top + 1, increasing=True)
-    v.flags.writeable = False
-    return v, k
+    half = v[:(grid.m + 1) // 2]
+    if grid.m % 2:
+        half = half.copy()
+        half[-1] *= 0.5
+    return half, v, k
 
 
 def _gaussian_key(f: TestFunction) -> tuple:
@@ -308,46 +314,13 @@ def _node_envelope(center: tuple, sigma2: float, grid: QuadratureGrid):
     and squared width at the image of every node of grid, read-only.  The
     nodes are exactly negation-symmetric and moment_map(-a, -b) is
     moment_map(a, b) bit for bit, so E[m-1-i, m-1-j] = E[i, j] exactly: the
-    rows kept determine E (_full_envelope), and the exp runs on half of it.
-    The bound holds the distinct (Gaussian, grid) pairs of a battery."""
+    rows kept determine E, every contraction reads only them
+    (_plane_moments), and the exp runs on half of E.  The bound holds the
+    distinct (Gaussian, grid) pairs of a battery."""
     a, b = grid.nodes()
     e = _gaussian(center, sigma2, *moment_map(a[:(grid.m + 1) // 2], b))
     e.flags.writeable = False
     return e
-
-
-def _full_envelope(center: tuple, sigma2: float, grid: QuadratureGrid):
-    """E on the whole m x m square, its lower rows the stored upper rows
-    mirrored through the centre, with no exp."""
-    upper = _node_envelope(center, sigma2, grid)
-    return np.concatenate((upper, upper[:grid.m // 2][::-1, ::-1]))
-
-
-def _mirror_fold(upper, row_sign: int, col_sign: int):
-    """Fold an m x m array v that is exactly symmetric under (i, j) -> (i', j'),
-    i' = m-1-i, j' = m-1-j, given by its upper ceil(m/2) rows, onto its
-    quadrant i, j < ceil(m/2): entry (i, j) becomes
-    (v[i,j] + s v[i',j]) + t (v[i,j'] + s v[i',j']) with s = row_sign and
-    t = col_sign, reading v[i',j] as the reversed upper row v[i,j'].  A node's
-    mirrors are then summed first, as the mirror images (+-a, +-b) of a
-    monomial a^p b^q are signed by (-1)^p and (-1)^q.  Every fold with
-    s * t = -1 is a sum of exactly cancelling terms, so it is exactly 0.0,
-    however the sums after it are ordered."""
-    c = (upper.shape[1] + 1) // 2
-    mirror = upper[:, ::-1]
-    rows = upper + mirror if row_sign > 0 else upper - mirror
-    left, right = rows[:, :c], rows[:, ::-1][:, :c]
-    return left + right if col_sign > 0 else left - right
-
-
-@functools.lru_cache(maxsize=32)
-def _envelope_fold(center: tuple, sigma2: float, grid: QuadratureGrid,
-                   row_sign: int, col_sign: int):
-    """_mirror_fold of the Gaussian factor E on grid, read-only.  The bound
-    holds the distinct (Gaussian, grid, signs) keys of a battery."""
-    fold = _mirror_fold(_node_envelope(center, sigma2, grid), row_sign, col_sign)
-    fold.flags.writeable = False
-    return fold
 
 
 def pair_delta_nplus(f: TestFunction, grid: QuadratureGrid) -> float:
@@ -403,6 +376,15 @@ def _multinomial(m: int, i: int, j: int, k: int) -> int:
 
 
 @functools.lru_cache(maxsize=8)
+def _weighted_monomials(degree: int) -> tuple:
+    """((al, be, ga), 2 * multinomial) for each degree-d monomial in
+    _monomials order, the weight a float, as _components reads them.  The
+    bound holds the degrees of a battery."""
+    return tuple(((al, be, ga), 2.0 * _multinomial(degree, al, be, ga))
+                 for al, be, ga in _monomials(degree))
+
+
+@functools.lru_cache(maxsize=8)
 def _ad_matrix(z_label: str, degree: int) -> np.ndarray:
     """ad(H|X|Y) on degree-d monomials in (H, X, Y), the derivation with
     e_j -> -c e_i for each term (i, j, c) of _FLOWS, as a read-only float matrix."""
@@ -423,49 +405,48 @@ def _degree(poly) -> int:
     return max(map(sum, poly), default=0)
 
 
+# The factor (s0, s1) that turns entry (p, q) of a half-plane contraction U
+# into a moment over the whole plane, s0 for even p + q and s1 for odd: the
+# lower rows add (-1)^(p+q) times the upper ones (_plane_moments).
+_PLANE = (2.0, 0.0)         # 1 + (-1)^(p+q): every odd moment is 0 * U
+_SIGN_A = (0.0, -2.0)       # (-1)^(p+q) - 1, the moments of sign(a): the upper rows are a < 0
+_ABSOLUTE = (2.0, 2.0)      # under |.| the two halves are equal
+
+
 @functools.lru_cache(maxsize=64)
-def _plane_moments(center: tuple, sigma2: float, grid: QuadratureGrid, top: int, odd: bool):
-    """(M, k) with M[p][q] = sum_ij w_i w_j (a_i / 2^k)^p (b_j / 2^k)^q E_ij
-    for p, q <= top and p + q odd or even as odd says, E the Gaussian factor
-    of the given centre and squared width at the image of each node, as an
-    immutable tuple of rows.  E is read folded onto a quadrant
-    (_envelope_fold), each parity class by its own signs, before the
-    contraction V^T E V: on the negation-symmetric grids E is exactly
-    symmetric under (a, b) -> (-a, -b), so every odd moment comes out exactly
-    0.0.  Entries of the other parity are NaN.  The bound holds the distinct
-    (Gaussian, grid, top, parity) keys of a battery."""
-    v, k = _vandermonde(grid, top)
-    half = v[:(grid.m + 1) // 2]
-    if grid.m % 2:              # the middle row and column lie in both halves of the fold
-        half = half.copy()
-        half[-1] *= 0.5
-    moments = np.full((top + 1, top + 1), np.nan)
-    for row_sign in (1, -1) if top else (1,):       # at top 0 only p = q = 0 is read
-        col_sign = -row_sign if odd else row_sign
-        ps, qs = slice(row_sign < 0, None, 2), slice(col_sign < 0, None, 2)
-        fold = _envelope_fold(center, sigma2, grid, row_sign, col_sign)
-        moments[ps, qs] = half[:, ps].T @ fold @ half[:, qs]
-    return tuple(map(tuple, moments.tolist())), k
+def _plane_moments(center: tuple, sigma2: float, grid: QuadratureGrid, top: int):
+    """(U, k) with U[p][q] = sum_ij half_ip E_ij V_jq for p, q <= top, E the
+    upper ceil(m/2) rows of the Gaussian factor of the given centre and
+    squared width (_node_envelope) and (half, V, k) from _vandermonde, as an
+    immutable tuple of rows.  The lower rows add (-1)^(p+q) U, so the
+    moments over the whole plane are (1 + (-1)^(p+q)) U (_PLANE).  The bound
+    holds the distinct (Gaussian, grid, top) keys of a battery."""
+    half, v, k = _vandermonde(grid, top)
+    u = half.T @ _node_envelope(center, sigma2, grid) @ v
+    return tuple(map(tuple, u.tolist())), k
 
 
-def _components(moments, k: int, degree: int, poly, lead=(0, 0)) -> list:
+def _components(moments, k: int, degree: int, poly, lead=(0, 0), parity=_PLANE) -> list:
     """Pairing components, one per degree-d monomial in _monomials order: the
     multinomial times 2 * the integral of lead * monomial * poly against the
-    Gaussian whose moments (M, k) are given, with lead = a^dp b^dq.  Under
-    the moment map h^i x^j y^l is (-1)^(i+l) 2^-(i+j+l) a^(i+2j) b^(i+2l),
-    so each component is a short sum over entries of M, rescaled by exact
-    powers of two; only the entries read are rescaled, so none overflows."""
+    Gaussian whose half-plane contraction (U, k) is given, with
+    lead = a^dp b^dq, entry (p, q) of U read as a moment over the whole
+    plane by the factor parity[(p + q) % 2].  Under the moment map
+    h^i x^j y^l is (-1)^(i+l) 2^-(i+j+l) a^(i+2j) b^(i+2l), so each component
+    is a short sum over entries of U, rescaled by exact powers of two; only
+    the entries read are rescaled, so none overflows."""
     dp, dq = lead
     terms = [(i, j, l, float(c)) for (i, j, l), c in poly.items()]
     out = []
-    for al, be, ga in _monomials(degree):
+    for (al, be, ga), weight in _weighted_monomials(degree):
         total = 0.0
         for i, j, l, c in terms:
             eh, ex, ey = al + i, be + j, ga + l
             p, q = eh + 2 * ex + dp, eh + 2 * ey + dq
-            term = c * math.ldexp(moments[p][q], k * (p + q) - eh - ex - ey)
+            term = c * math.ldexp(parity[(p + q) % 2] * moments[p][q],
+                                  k * (p + q) - eh - ex - ey)
             total += -term if (eh + ey) % 2 else term
-        out.append(2.0 * _multinomial(degree, al, be, ga) * total)
+        out.append(weight * total)
     return out
 
 
@@ -487,7 +468,7 @@ def seed_pairing(n: int, f: TestFunction, grid: QuadratureGrid) -> np.ndarray:
     if n % 2:
         raise ValueError("the seeded pairing requires even n")
     d = n // 2
-    moments, k = _plane_moments(*_gaussian_key(f), grid, 2 * (d + _degree(f.poly)), False)
+    moments, k = _plane_moments(*_gaussian_key(f), grid, 2 * (d + _degree(f.poly)))
     return np.array(_components(moments, k, d, f.poly))
 
 
@@ -507,7 +488,7 @@ def invariance_residual(n: int, z_label: str, f: TestFunction,
     flow = lie_derivative(z_label, f)
     d = n // 2
     top = 2 * (d + max(_degree(f.poly), _degree(flow.poly)))
-    moments, k = _plane_moments(*_gaussian_key(f), grid, top, False)
+    moments, k = _plane_moments(*_gaussian_key(f), grid, top)
     p_vec = np.array(_components(moments, k, d, f.poly))
     q_vec = np.array(_components(moments, k, d, flow.poly))
     return float(np.linalg.norm(_ad_matrix(z_label, d) @ p_vec - q_vec))
@@ -517,47 +498,45 @@ def odd_section_obstruction(n: int, f: TestFunction, grid: QuadratureGrid,
                             negative_control: bool = False) -> float:
     """Norm of the pairing 2 * integral of (v tensor image^{(n-1)/2}) f.
 
-    The integrand is exactly odd under v -> -v while the image point is
-    even, so it reads only odd moments, which the mirror fold of the
-    Gaussian factor cancels to exactly 0.0 in floating point: the numeric
-    shadow of the missing global section over the half-cone for odd n.
-    With negative_control=True the first factor v is replaced by |a| times
-    the first basis vector, which breaks the parity and must produce a
-    visibly nonzero value.
+    The integrand is exactly odd under the deck transformation v -> -v while
+    the image point is even, so it reads only odd moments, each exactly
+    0 * U (_PLANE): the numeric shadow of the missing global section over
+    the half-cone for odd n.  With negative_control=True the first factor v
+    is replaced by |a| times the first basis vector, which breaks the parity
+    and must produce a visibly nonzero value; it reads the same U, signed
+    by sign(a) (_SIGN_A).
     """
     if n % 2 == 0:
         raise ValueError("even n rejected: the obstruction pairing is for odd n")
     d = (n - 1) // 2
-    top = 2 * (d + _degree(f.poly)) + 1
+    moments, k = _plane_moments(*_gaussian_key(f), grid, 2 * (d + _degree(f.poly)) + 1)
     if negative_control:
-        # sign(a) a^(p+1) = |a| a^p: the moment at p + 1 with row factor sign(a)
-        # is the moment of |a| a^p, read under the lead a
-        v, k = _vandermonde(grid, top)
-        moments = ((np.sign(grid.nodes()[0]) * v).T
-                   @ _full_envelope(*_gaussian_key(f), grid) @ v).tolist()
-        leads = [(1, 0)]
+        # sign(a) a^(p+1) = |a| a^p: the moment of sign(a) at p + 1 is the
+        # moment of |a| a^p, read under the lead a
+        leads, parity = [(1, 0)], _SIGN_A
     else:
-        moments, k = _plane_moments(*_gaussian_key(f), grid, top, True)
-        leads = [(1, 0), (0, 1)]
-    return _norm(c for lead in leads for c in _components(moments, k, d, f.poly, lead))
+        leads, parity = [(1, 0), (0, 1)], _PLANE
+    return _norm(c for lead in leads for c in _components(moments, k, d, f.poly, lead, parity))
 
 
 def odd_section_scale(n: int, f: TestFunction, grid: QuadratureGrid) -> float:
     """Companion magnitude for the obstruction: same pairing with absolute
     values everywhere, for forming relative residuals.  |f| is not a
-    polynomial times a Gaussian, so |f * w| is contracted with |V| as one
-    m x m array.  Each component is then a single moment, whose sign the
-    norm drops, as |h| and |y| would."""
+    polynomial times a Gaussian, so it is evaluated on the upper ceil(m/2)
+    rows and contracted as one array against the same rows of |V| and all
+    of |V|; under |.| the lower rows add the same again (_ABSOLUTE).  Each
+    component is then a single moment, whose sign the norm drops, as |h|
+    and |y| would."""
     if n % 2 == 0:
         raise ValueError("even n rejected")
     d = (n - 1) // 2
-    v, k = _vandermonde(grid, 2 * d + 1)
-    v = np.abs(v)
-    values = _poly_value(f.poly, *moment_map(*grid.nodes())) * _full_envelope(
+    half, v, k = _vandermonde(grid, 2 * d + 1)
+    a, b = grid.nodes()
+    values = _poly_value(f.poly, *moment_map(a[:(grid.m + 1) // 2], b)) * _node_envelope(
         *_gaussian_key(f), grid)
-    moments = (v.T @ np.abs(values) @ v).tolist()
+    moments = (np.abs(half).T @ np.abs(values) @ np.abs(v)).tolist()
     return _norm(c for lead in ((1, 0), (0, 1))
-                 for c in _components(moments, k, d, {(0, 0, 0): 1}, lead))
+                 for c in _components(moments, k, d, {(0, 0, 0): 1}, lead, _ABSOLUTE))
 
 
 # ---------------------------------------------------------------------------

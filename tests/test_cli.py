@@ -434,8 +434,8 @@ def test_memos_hold_every_n_and_degree_the_cli_accepts(capsys):
     # each oracle memo is bounded and holds every key of each battery at the
     # caps: a cold run evicts nothing, so every miss is still held
     memos = _oracle_memos()
-    assert {memo.__name__ for memo in memos} >= {"_node_envelope", "_envelope_fold",
-                                                 "_plane_moments", "_vandermonde"}
+    assert {memo.__name__ for memo in memos} >= {"_node_envelope", "_plane_moments",
+                                                 "_weighted_monomials"}
     grid = ["--grid", str(cli.GRID_CAP)]
     for argv in (["numcheck", "--kind", "invariance", "--n", str(cli.SIZE_CAP), *grid],
                  ["numcheck", "--kind", "obstruction", "--n", str(cli.SIZE_CAP - 1), *grid],
@@ -467,7 +467,8 @@ def test_cold_and_warm_runs_print_the_same_bytes(fmt, capsys):
 def test_cold_and_warm_numcheck_runs_print_the_same_bytes(fmt, capsys):
     # the envelope memo holds every distinct (Gaussian, grid) pair of one
     # battery, and every oracle memo each of its keys: the warm run misses
-    # none of them, so it evaluates no envelope, fold or moment table again
+    # none of them, so it evaluates no envelope, moment table or monomial
+    # weights again
     memos = _oracle_memos()
     for argv, pairs in ((["numcheck", "--kind", "invariance", "--n", "2"], 3),
                         (["numcheck", "--kind", "obstruction", "--n", "3"], 1),
@@ -483,7 +484,7 @@ def test_cold_and_warm_numcheck_runs_print_the_same_bytes(fmt, capsys):
             assert (info.misses, info.currsize) == (pairs, pairs), argv
         assert outputs[0] == outputs[1], argv
         assert misses[0] == misses[1], argv
-        assert all(misses[0][name] for name in ("_envelope_fold", "_plane_moments")), argv
+        assert all(misses[0][name] for name in ("_plane_moments", "_weighted_monomials")), argv
 
 
 @pytest.mark.parametrize("argv", [

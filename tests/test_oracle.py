@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcone import oracle
 from nilcone.oracle import (CONTROL_MIN, ROUNDOFF, SIGMA_WINDOW, QuadratureGrid, TestFunction,
-                            _FLOWS, _ad_matrix, _envelope_fold, _full_envelope,
-                            _gauss_legendre, _gaussian_key, _lie_items, _mirror_fold,
-                            _monomials, _multinomial, _node_envelope, _plane_moments,
-                            _vandermonde, invariance_report,
+                            _FLOWS, _ad_matrix, _components, _gauss_legendre,
+                            _gaussian_key, _lie_items, _monomials, _multinomial,
+                            _node_envelope, _plane_moments, _weighted_monomials,
+                            invariance_report,
                             invariance_residual, lie_derivative, moment_map,
                             obstruction_report, odd_section_obstruction, odd_section_scale,
                             pair_delta_nplus, seed_pairing, tail_bound)
@@ -120,17 +121,14 @@ def test_cached_rule_and_ad_matrices_are_read_only():
     grid = QuadratureGrid(2.5, 12, "gauss")
     key = _gaussian_key(f)
     for arr in (*_gauss_legendre(12), *(_ad_matrix(z, 2) for z in "HXY"),
-                _vandermonde(grid, 5)[0], _node_envelope(*key, grid),
-                *(_envelope_fold(*key, grid, *signs)
-                  for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)))):
+                _node_envelope(*key, grid)):
         with pytest.raises(ValueError):
             arr[...] = 0.0
-    for odd in (False, True):
-        moments, _ = _plane_moments(*key, grid, 5, odd)
+    for table in (_plane_moments(*key, grid, 5)[0], _weighted_monomials(2)):
         with pytest.raises(TypeError):
-            moments[0] = moments[1]
+            table[0] = table[1]
         with pytest.raises(TypeError):
-            moments[0][0] = 0.0
+            table[0][0] = 0.0
 
 
 def test_node_envelope_is_the_envelope_at_the_node_images():
@@ -152,29 +150,6 @@ def test_node_envelope_is_the_envelope_at_the_node_images():
                 assert got.shape == (c, m)
                 assert np.array_equal(got, f.envelope(h, x, y)[:c]), (sigma, rule, m)
                 assert np.array_equal(got, plain[:c]), (sigma, rule, m)
-
-
-def test_mirror_completion_is_the_envelope_on_every_node():
-    # the lower rows completed through the centre, with no exp, against E
-    # evaluated on the whole square, bit for bit; the Gaussian sits within a
-    # width of the image of the node (m // 4, m - 1), so that E is not 0.0
-    # on every node even where the images are far apart, and off the axis
-    # h = 0, so that the completion must reverse both rows and columns
-    for sigma in SIGMA_WINDOW:
-        for rule in ("midpoint", "gauss"):
-            for m in (1, 2, 7, 11, 12, 64, 127, 128, 193):
-                grid = QuadratureGrid(6.0 * sigma, m, rule)
-                x, _ = grid.nodes1d()
-                image = moment_map(Fraction(x[m // 4]), Fraction(x[-1]))
-                f = TestFunction.gaussian(
-                    center=[c + Fraction(sigma) * t
-                            for c, t in zip(image, (Fraction(1, 3), 1, Fraction(-1, 2)))],
-                    sigma=sigma)
-                full = f.envelope(*moment_map(*grid.nodes()))
-                got = _full_envelope(*_gaussian_key(f), grid)
-                case = (sigma, rule, m)
-                assert f.center[0] != 0 and full[m // 4, -1] > 0.0, case
-                assert got.shape == full.shape and got.tobytes() == full.tobytes(), case
 
 
 def _lie_derivative_by_three_partials(z_label, f):
@@ -375,6 +350,17 @@ def test_invariance_verdict_fails_on_an_unconverged_grid():
     assert (coarse["verdict"], fine["verdict"]) == ("FAIL", "PASS")
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_converged_invariance_residuals_stay_at_the_roundoff_floor(n):
+    # on converged grids the residual is roundoff alone, about 1e-13 at
+    # worst, far below INVARIANCE_TOL; a contraction that loses digits
+    # shows here long before it moves a verdict
+    for grid in (128, 256, 511):
+        for sigma in (0.6, 0.75, 0.9):
+            worst = invariance_report(n, grid, sigma)["worst_relative_residual"]
+            assert worst < 1e-12, (n, grid, sigma, worst)
+
+
 @pytest.mark.parametrize("sigma", SIGMA_WINDOW)
 def test_top_degree_pairings_stay_finite_at_the_width_window_edges(sigma):
     """At --n 64 the moments reach a^p b^q with p + q = 68 on a square of
@@ -399,53 +385,37 @@ def test_top_degree_pairings_stay_finite_at_the_width_window_edges(sigma):
             assert record["verdict"] in ("PASS", "FAIL")
 
 
-def _mirror_fold_by_index(values, row_sign, col_sign):
-    """The fold with explicit mirror index arrays, kept as the reference."""
-    m = values.shape[0]
-    idx = np.arange((m + 1) // 2)
-    i, j = idx[:, None], idx[None, :]
-    mi, mj = m - 1 - i, m - 1 - j
-    return ((values[i, j] + row_sign * values[mi, j])
-            + col_sign * (values[i, mj] + row_sign * values[mi, mj]))
-
-
-def test_mirror_pairing_matches_the_index_reference():
-    # the fold reads the upper ceil(m/2) rows of an exactly centrally
-    # symmetric array; the reference reads all m
-    rng = np.random.default_rng(20261018)
-    for m in range(1, 65):
-        v = rng.standard_normal((m, m))
-        values = v + v[::-1, ::-1]
-        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            got = _mirror_fold(values[:(m + 1) // 2], *signs)
-            assert got.tobytes() == _mirror_fold_by_index(values, *signs).tobytes(), (m, signs)
-
-
-def test_mirror_pairing_cancels_an_odd_integrand_exactly():
+def test_mirror_pairing_cancels_an_odd_integrand_exactly(monkeypatch):
+    # the moment of a^p b^q over the whole plane, read through _components at
+    # degree 0 under the lead a^p b^q, is the half-plane contraction's entry
+    # times 2 for even p + q and times 0 for odd: exactly 0.0, from a nonzero entry
     f = TestFunction.gaussian(center=(Fraction(1, 3), 1, Fraction(-1, 2)), sigma=0.8,
                               poly={(1, 0, 0): 2, (0, 1, 1): -1, (0, 0, 0): 1})
+    one = {(0, 0, 0): 1}
     for rule in ("midpoint", "gauss"):
         for m in (7, 8, 33, 64):
             grid = QuadratureGrid(4.8, m, rule)
-            base = (f.value(*moment_map(*grid.nodes())) * _weight(grid))[:(m + 1) // 2]
-            for signs in ((1, -1), (-1, 1)):
-                assert not _mirror_fold(base, *signs).any(), (rule, m, signs)
-            for signs in ((1, 1), (-1, -1)):
-                assert _mirror_fold(base, *signs).any(), (rule, m, signs)
-            odd, _ = _plane_moments(*_gaussian_key(f), grid, 7, True)
-            even, _ = _plane_moments(*_gaussian_key(f), grid, 7, False)
+            u, k = _plane_moments(*_gaussian_key(f), grid, 7)
             for p in range(8):
                 for q in range(8):
+                    moment, = _components(u, k, 0, one, (p, q))
                     if (p + q) % 2:
-                        assert odd[p][q] == 0.0 and math.isnan(even[p][q]), (rule, m, p, q)
+                        assert moment == 0.0 and u[p][q] != 0.0, (rule, m, p, q)
                     else:
-                        assert math.isnan(odd[p][q]) and math.isfinite(even[p][q])
-            assert even[2][0] > 0.0
-    # the zeros are computed sums, not built: a NaN on one node reaches every fold
-    poisoned = np.ones((4, 7))
+                        assert math.isfinite(moment), (rule, m, p, q)
+            assert _components(u, k, 0, one, (2, 0))[0] > 0.0
+    # the zeros are computed, not built: a NaN on one stored upper-row node
+    # reaches both the obstruction and its control
+    grid = QuadratureGrid(4.8, 7)
+    poisoned = _node_envelope(*_gaussian_key(f), grid).copy()
     poisoned[1, 2] = np.nan
-    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        assert np.isnan(_mirror_fold(poisoned, *signs)).any(), signs
+    monkeypatch.setattr(oracle, "_node_envelope", lambda *key: poisoned)
+    _plane_moments.cache_clear()
+    try:
+        assert math.isnan(odd_section_obstruction(3, f, grid))
+        assert math.isnan(odd_section_obstruction(3, f, grid, negative_control=True))
+    finally:
+        _plane_moments.cache_clear()
 
 
 def _weight(grid):
@@ -512,12 +482,12 @@ def _flat_termwise_scale(degree, f, nodes, lead):
             for factor in lead(np.abs(a), np.abs(b)) for al, be, ga in _monomials(degree)]
 
 
-# The contraction forms each moment by two dot products of ceil(m/2) <= 32
-# terms after a fold of four, from powers and products a few roundings deep;
-# the reference takes a handful of products per node and sums them pairwise,
-# 12 levels deep at m = 64.  So each component agrees within about 120
-# roundings of 2^-53 of its absolute-value scale; the tolerance leaves a
-# factor of about seven.
+# The contraction forms each moment by a dot product of ceil(m/2) <= 32
+# upper rows and one of m <= 64 columns, from powers and products a few
+# roundings deep, and doubles it exactly; the reference takes a handful of
+# products per node and sums them pairwise, 12 levels deep at m = 64.  So
+# each component agrees within about 120 roundings of 2^-53 of its
+# absolute-value scale; the tolerance leaves a factor of about seven.
 PAIRING_RTOL = 1e-13
 
 
