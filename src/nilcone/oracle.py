@@ -31,21 +31,24 @@ _components reads each pairing component from U with its parity factor,
 handling the polynomial part of the test function, the lead factor and
 the monomial of each component in exponent space.  Only the
 absolute-value scale pairs |f|, which is not polynomial times Gaussian,
-and contracts that one array over the upper rows instead.  A battery
-computes each piece once: bounded, read-only memos hold E per Gaussian
-and grid, U per Gaussian, grid and degree, the weighted monomials of each
-degree, and L_Z f per (Z, f) (lie_derivative).  The Gaussian is keyed by
-the float centre and width that _gaussian reads (_gaussian_key), so
-widths and centres that round to the same floats share one entry and no
-Fraction is hashed per lookup.  Floats are confined to this module;
-nothing numeric flows back into the symbolic side.  Grid nodes are two
-broadcast axis factors; the weights enter only through V.  The adjoint
-action of sl(2) is stated once, in _FLOWS: the terms (i, j, c) of Z give
-the flow derivative L_Z = sum of c xi_j d/dxi_i (lie_derivative) and
-ad(Z) e_j = -c e_i (_ad_matrix), and a Tier-1 test certifies the field
-sum of c xi_j e_i against the 2 x 2 matrix bracket -[Z, xi].  The
-*_report functions at the end are the numcheck batteries, judged against
-the named thresholds defined beside them.
+and contracts that one array over the upper rows instead.  A TestFunction
+is an immutable value that carries its float form, computed once when it
+is built: the key (float centre, float squared width) of its Gaussian,
+its float terms and its degree, which is all the quadrature reads.  A
+battery computes each piece once: bounded, read-only memos hold E per
+Gaussian key and grid, U per key, grid and degree, the weighted monomials
+of each degree, |f| on the upper rows per (f, grid), and the flow
+derivatives along H, X and Y per f, all three from one set of partials
+(lie_derivative).  Widths and centres that round to the same floats share
+one Gaussian entry, and no Fraction is hashed per lookup.  Floats are
+confined to this module; nothing numeric flows back into the symbolic
+side.  Grid nodes are two broadcast axis factors; the weights enter only
+through V.  The adjoint action of sl(2) is stated once, in _FLOWS: the
+terms (i, j, c) of Z give the flow derivative L_Z = sum of c xi_j d/dxi_i
+(lie_derivative) and ad(Z) e_j = -c e_i (_ad_matrix), and a Tier-1 test
+certifies the field sum of c xi_j e_i against the 2 x 2 matrix bracket
+-[Z, xi].  The *_report functions at the end are the numcheck batteries,
+judged against the named thresholds defined beside them.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 
 class _Numpy:
@@ -91,27 +95,28 @@ def _times_powers(lead, axes, expo):
     return lead
 
 
-def _poly_value(poly, h, x, y):
-    """The polynomial part at points that broadcast together, summed in dict order."""
+def _poly_value(terms, h, x, y):
+    """The polynomial part, given by its float terms (i, j, l, c), at points
+    that broadcast together, summed in term order."""
     pv = 0.0
-    for expo, c in poly.items():
-        pv = pv + _times_powers(float(c), (h, x, y), expo)
+    for i, j, l, c in terms:
+        pv = pv + _times_powers(c, (h, x, y), (i, j, l))
     return pv
 
 
 def _gaussian(center, sigma2, h, x, y):
-    """exp(-|(h, x, y) - center|^2 / sigma2) at points that broadcast together.
-    The squares are summed left to right into one buffer of the broadcast
-    shape, which is then divided and exponentiated in place: the same float
-    operations in the same order as the plain expression, without an array
-    per step."""
-    ch, cx, cy = (float(t) for t in center)
+    """exp(-|(h, x, y) - center|^2 / sigma2) at points that broadcast together,
+    the centre and squared width given as floats.  The squares are summed
+    left to right into one buffer of the broadcast shape, which is then
+    divided and exponentiated in place: the same float operations in the
+    same order as the plain expression, without an array per step."""
+    ch, cx, cy = center
     out = np.empty(np.broadcast_shapes(np.shape(h), np.shape(x), np.shape(y)))
     np.subtract(h, ch, out=out)
     np.square(out, out=out)
     out += np.square(x - cx)
     out += np.square(y - cy)
-    np.divide(out, -float(sigma2), out=out)
+    np.divide(out, -sigma2, out=out)
     return np.exp(out, out=out)
 
 
@@ -138,21 +143,52 @@ def _mul_polys(p1, p2):
 class TestFunction:
     """Polynomial times centered Gaussian on R^3, closed under d/dh, d/dx, d/dy.
 
-    The polynomial part has Fraction coefficients keyed by exponent triples
-    for h^i x^j y^k; center and squared width are stored exactly so that
-    differentiation and coordinate multiplication stay inside the class.
-    Only evaluation produces floats.
+    An immutable value.  The polynomial part is a read-only mapping from
+    exponent triples (i, j, l), for h^i x^j y^l, to Fraction coefficients;
+    center and squared width are stored exactly, so that differentiation
+    and coordinate multiplication stay inside the class.  The float form
+    the quadrature reads is computed once, here: key, the Gaussian's
+    (float centre, float squared width), which keys the envelope and moment
+    memos; terms, the float terms (i, j, l, c) in item order; and degree.
+    Two test functions are equal when their items, in order, their centre
+    and their width are; the hash is computed at most once.
     """
 
-    __slots__ = ("poly", "center", "sigma2")
+    __slots__ = ("poly", "center", "sigma2", "key", "terms", "degree", "_hash")
     __test__ = False          # not a pytest class, despite the name
 
     def __init__(self, poly, center, sigma2):
-        self.poly = {tuple(e): Fraction(c) for e, c in poly.items() if c}
-        self.center = tuple(Fraction(t) for t in center)
-        self.sigma2 = Fraction(sigma2)
-        if self.sigma2 <= 0:
+        poly = MappingProxyType({tuple(e): Fraction(c) for e, c in poly.items() if c})
+        center = tuple(Fraction(t) for t in center)
+        sigma2 = Fraction(sigma2)
+        if sigma2 <= 0:
             raise ValueError("width must be positive")
+        for name, value in (
+                ("poly", poly), ("center", center), ("sigma2", sigma2),
+                ("key", (tuple(map(float, center)), float(sigma2))),
+                ("terms", tuple((i, j, l, float(c)) for (i, j, l), c in poly.items())),
+                ("degree", max(map(sum, poly), default=0)), ("_hash", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TestFunction is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TestFunction is immutable; cannot delete {name!r}")
+
+    def __hash__(self):
+        # computed on first use: most test functions, such as the partials
+        # behind a flow or a Casimir image, are never hashed
+        if self._hash is None:
+            object.__setattr__(self, "_hash",
+                               hash((tuple(self.poly.items()), self.center, self.sigma2)))
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, TestFunction):
+            return NotImplemented
+        return self is other or (self.center == other.center and self.sigma2 == other.sigma2
+                                 and list(self.poly.items()) == list(other.poly.items()))
 
     @classmethod
     def gaussian(cls, center=(0, 0, 0), sigma=1, poly=None) -> "TestFunction":
@@ -162,12 +198,12 @@ class TestFunction:
 
     def value(self, h, x, y):
         """Evaluate at floats or at numpy arrays that broadcast together."""
-        return _poly_value(self.poly, h, x, y) * self.envelope(h, x, y)
+        return _poly_value(self.terms, h, x, y) * self.envelope(h, x, y)
 
     def envelope(self, h, x, y):
         """The Gaussian factor exp(-|(h, x, y) - center|^2 / sigma^2) alone,
         a scalar at scalar points."""
-        return _gaussian(self.center, self.sigma2, h, x, y)[()]
+        return _gaussian(*self.key, h, x, y)[()]
 
     def diff(self, axis: int) -> "TestFunction":
         """Exact partial derivative along coordinate axis 0=h, 1=x, 2=y."""
@@ -218,23 +254,27 @@ def _flow(z_label: str):
 def lie_derivative(z_label: str, f: TestFunction) -> TestFunction:
     """Flow derivative of f along the adjoint vector field of H, X or Y, the
     terms c xi_j df/dxi_i of _FLOWS gathered in one dict in first-insertion
-    order, cancelled keys dropped at the end, as summing them one by one would.
-    The polynomial is memoised per (Z, f) by value; each call gets its own
-    TestFunction."""
-    items = _lie_items(z_label, tuple(f.poly.items()), f.center, f.sigma2)
-    return TestFunction(dict(items), f.center, f.sigma2)
+    order, cancelled keys dropped at the end, as summing them one by one
+    would.  The result is shared: every caller with a value-equal f gets the
+    same immutable TestFunction (_lie_flows)."""
+    _flow(z_label)
+    return _lie_flows(f)[z_label]
 
 
 @functools.lru_cache(maxsize=8)
-def _lie_items(z_label: str, items: tuple, center: tuple, sigma2: Fraction) -> tuple:
-    """The polynomial of L_Z f as an immutable tuple of items, f given by value."""
-    f = TestFunction(dict(items), center, sigma2)
-    poly = {}
-    for i, j, c in _flow(z_label):
-        for expo, v in f.diff(i).poly.items():
-            key = tuple(e + (axis == j) for axis, e in enumerate(expo))
-            poly[key] = poly.get(key, 0) + c * v
-    return tuple(TestFunction(poly, center, sigma2).poly.items())
+def _lie_flows(f: TestFunction) -> MappingProxyType:
+    """L_Z f for Z = H, X and Y, read-only, from the three partials of f
+    taken once.  The bound holds the test functions of a battery."""
+    partials = [f.diff(axis) for axis in range(3)]
+    flows = {}
+    for z_label, flow in _FLOWS.items():
+        poly = {}
+        for i, j, c in flow:
+            for expo, v in partials[i].poly.items():
+                key = tuple(e + (axis == j) for axis, e in enumerate(expo))
+                poly[key] = poly.get(key, 0) + c * v
+        flows[z_label] = TestFunction(poly, f.center, f.sigma2)
+    return MappingProxyType(flows)
 
 
 @dataclass(frozen=True)
@@ -301,24 +341,17 @@ def _vandermonde(grid: QuadratureGrid, top: int):
     return half, v, k
 
 
-def _gaussian_key(f: TestFunction) -> tuple:
-    """(centre, squared width) of f's Gaussian factor as the floats _gaussian
-    reads: the key of the envelope, fold and moment memos, so that two
-    Gaussians that _gaussian cannot tell apart share one entry."""
-    return tuple(float(t) for t in f.center), float(f.sigma2)
-
-
 @functools.lru_cache(maxsize=8)
-def _node_envelope(center: tuple, sigma2: float, grid: QuadratureGrid):
-    """The upper ceil(m/2) rows of E, the Gaussian factor of the given centre
-    and squared width at the image of every node of grid, read-only.  The
+def _node_envelope(key: tuple, grid: QuadratureGrid):
+    """The upper ceil(m/2) rows of E, the Gaussian factor of the given key
+    (TestFunction.key) at the image of every node of grid, read-only.  The
     nodes are exactly negation-symmetric and moment_map(-a, -b) is
     moment_map(a, b) bit for bit, so E[m-1-i, m-1-j] = E[i, j] exactly: the
     rows kept determine E, every contraction reads only them
     (_plane_moments), and the exp runs on half of E.  The bound holds the
     distinct (Gaussian, grid) pairs of a battery."""
     a, b = grid.nodes()
-    e = _gaussian(center, sigma2, *moment_map(a[:(grid.m + 1) // 2], b))
+    e = _gaussian(*key, *moment_map(a[:(grid.m + 1) // 2], b))
     e.flags.writeable = False
     return e
 
@@ -341,9 +374,9 @@ def tail_bound(f: TestFunction, grid: QuadratureGrid) -> float:
     to bound the integrand by a radial profile, then integrates the profile
     outward from the grid radius.
     """
-    c_norm = math.sqrt(sum(float(t) ** 2 for t in f.center))
-    s2 = float(f.sigma2)
-    coeff_mass = [(abs(float(c)), sum(e)) for e, c in f.poly.items()]
+    center, s2 = f.key
+    c_norm = math.sqrt(sum(t ** 2 for t in center))
+    coeff_mass = [(abs(c), i + j + l) for i, j, l, c in f.terms]
 
     def profile(r):
         lo = math.sqrt(3.0) / 4.0 * r * r
@@ -387,22 +420,24 @@ def _weighted_monomials(degree: int) -> tuple:
 @functools.lru_cache(maxsize=8)
 def _ad_matrix(z_label: str, degree: int) -> np.ndarray:
     """ad(H|X|Y) on degree-d monomials in (H, X, Y), the derivation with
-    e_j -> -c e_i for each term (i, j, c) of _FLOWS, as a read-only float matrix."""
+    e_j -> -c e_i for each term (i, j, c) of _FLOWS, as a read-only float
+    matrix.  Each term fills its entries in one step: the monomial
+    (al, be, ga) has index al (d + 1) - al (al - 1) / 2 + be in _monomials
+    order, and one term sends distinct columns to distinct rows.  The
+    entries are small integers, exact in any order."""
     flow = _flow(z_label)
-    monos = _monomials(degree)
-    index = {mono: t for t, mono in enumerate(monos)}
+    monos = np.array(_monomials(degree)).reshape(-1, 3)
+    cols = np.arange(len(monos))
     mat = np.zeros((len(monos), len(monos)))
-    for col, mono in enumerate(monos):
-        for i, j, c in flow:
-            if mono[j]:
-                target = tuple(e - (axis == j) + (axis == i) for axis, e in enumerate(mono))
-                mat[index[target], col] -= c * mono[j]
+    for i, j, c in flow:
+        hit = monos[:, j] > 0
+        target = monos[hit]
+        target[:, j] -= 1
+        target[:, i] += 1
+        al, be = target[:, 0], target[:, 1]
+        mat[al * (degree + 1) - al * (al - 1) // 2 + be, cols[hit]] -= c * monos[hit, j]
     mat.flags.writeable = False
     return mat
-
-
-def _degree(poly) -> int:
-    return max(map(sum, poly), default=0)
 
 
 # The factor (s0, s1) that turns entry (p, q) of a half-plane contraction U
@@ -411,24 +446,26 @@ def _degree(poly) -> int:
 _PLANE = (2.0, 0.0)         # 1 + (-1)^(p+q): every odd moment is 0 * U
 _SIGN_A = (0.0, -2.0)       # (-1)^(p+q) - 1, the moments of sign(a): the upper rows are a < 0
 _ABSOLUTE = (2.0, 2.0)      # under |.| the two halves are equal
+_ONE = ((0, 0, 0, 1.0),)    # the float terms of the constant polynomial 1
 
 
 @functools.lru_cache(maxsize=64)
-def _plane_moments(center: tuple, sigma2: float, grid: QuadratureGrid, top: int):
+def _plane_moments(key: tuple, grid: QuadratureGrid, top: int):
     """(U, k) with U[p][q] = sum_ij half_ip E_ij V_jq for p, q <= top, E the
-    upper ceil(m/2) rows of the Gaussian factor of the given centre and
-    squared width (_node_envelope) and (half, V, k) from _vandermonde, as an
+    upper ceil(m/2) rows of the Gaussian factor of the given key
+    (_node_envelope) and (half, V, k) from _vandermonde, as an
     immutable tuple of rows.  The lower rows add (-1)^(p+q) U, so the
     moments over the whole plane are (1 + (-1)^(p+q)) U (_PLANE).  The bound
     holds the distinct (Gaussian, grid, top) keys of a battery."""
     half, v, k = _vandermonde(grid, top)
-    u = half.T @ _node_envelope(center, sigma2, grid) @ v
+    u = half.T @ _node_envelope(key, grid) @ v
     return tuple(map(tuple, u.tolist())), k
 
 
-def _components(moments, k: int, degree: int, poly, lead=(0, 0), parity=_PLANE) -> list:
+def _components(moments, k: int, degree: int, terms, lead=(0, 0), parity=_PLANE) -> list:
     """Pairing components, one per degree-d monomial in _monomials order: the
-    multinomial times 2 * the integral of lead * monomial * poly against the
+    multinomial times 2 * the integral of lead * monomial * the polynomial of
+    float terms (i, j, l, c) (TestFunction.terms) against the
     Gaussian whose half-plane contraction (U, k) is given, with
     lead = a^dp b^dq, entry (p, q) of U read as a moment over the whole
     plane by the factor parity[(p + q) % 2].  Under the moment map
@@ -436,7 +473,6 @@ def _components(moments, k: int, degree: int, poly, lead=(0, 0), parity=_PLANE) 
     is a short sum over entries of U, rescaled by exact powers of two; only
     the entries read are rescaled, so none overflows."""
     dp, dq = lead
-    terms = [(i, j, l, float(c)) for (i, j, l), c in poly.items()]
     out = []
     for (al, be, ga), weight in _weighted_monomials(degree):
         total = 0.0
@@ -468,8 +504,8 @@ def seed_pairing(n: int, f: TestFunction, grid: QuadratureGrid) -> np.ndarray:
     if n % 2:
         raise ValueError("the seeded pairing requires even n")
     d = n // 2
-    moments, k = _plane_moments(*_gaussian_key(f), grid, 2 * (d + _degree(f.poly)))
-    return np.array(_components(moments, k, d, f.poly))
+    moments, k = _plane_moments(f.key, grid, 2 * (d + f.degree))
+    return np.array(_components(moments, k, d, f.terms))
 
 
 def invariance_residual(n: int, z_label: str, f: TestFunction,
@@ -487,10 +523,9 @@ def invariance_residual(n: int, z_label: str, f: TestFunction,
         raise ValueError("odd n rejected: the equivariant seed only exists for even n")
     flow = lie_derivative(z_label, f)
     d = n // 2
-    top = 2 * (d + max(_degree(f.poly), _degree(flow.poly)))
-    moments, k = _plane_moments(*_gaussian_key(f), grid, top)
-    p_vec = np.array(_components(moments, k, d, f.poly))
-    q_vec = np.array(_components(moments, k, d, flow.poly))
+    moments, k = _plane_moments(f.key, grid, 2 * (d + max(f.degree, flow.degree)))
+    p_vec = np.array(_components(moments, k, d, f.terms))
+    q_vec = np.array(_components(moments, k, d, flow.terms))
     return float(np.linalg.norm(_ad_matrix(z_label, d) @ p_vec - q_vec))
 
 
@@ -509,34 +544,43 @@ def odd_section_obstruction(n: int, f: TestFunction, grid: QuadratureGrid,
     if n % 2 == 0:
         raise ValueError("even n rejected: the obstruction pairing is for odd n")
     d = (n - 1) // 2
-    moments, k = _plane_moments(*_gaussian_key(f), grid, 2 * (d + _degree(f.poly)) + 1)
+    moments, k = _plane_moments(f.key, grid, 2 * (d + f.degree) + 1)
     if negative_control:
         # sign(a) a^(p+1) = |a| a^p: the moment of sign(a) at p + 1 is the
         # moment of |a| a^p, read under the lead a
         leads, parity = [(1, 0)], _SIGN_A
     else:
         leads, parity = [(1, 0), (0, 1)], _PLANE
-    return _norm(c for lead in leads for c in _components(moments, k, d, f.poly, lead, parity))
+    return _norm(c for lead in leads for c in _components(moments, k, d, f.terms, lead, parity))
+
+
+@functools.lru_cache(maxsize=2)
+def _abs_upper_values(f: TestFunction, grid: QuadratureGrid):
+    """|f| at the image of every node on the upper ceil(m/2) rows, read-only:
+    the array odd_section_scale contracts, the same for every n.  The bound
+    holds the (f, grid) pairs of one battery."""
+    a, b = grid.nodes()
+    values = np.abs(_poly_value(f.terms, *moment_map(a[:(grid.m + 1) // 2], b))
+                    * _node_envelope(f.key, grid))
+    values.flags.writeable = False
+    return values
 
 
 def odd_section_scale(n: int, f: TestFunction, grid: QuadratureGrid) -> float:
     """Companion magnitude for the obstruction: same pairing with absolute
     values everywhere, for forming relative residuals.  |f| is not a
     polynomial times a Gaussian, so it is evaluated on the upper ceil(m/2)
-    rows and contracted as one array against the same rows of |V| and all
-    of |V|; under |.| the lower rows add the same again (_ABSOLUTE).  Each
-    component is then a single moment, whose sign the norm drops, as |h|
-    and |y| would."""
+    rows (_abs_upper_values) and contracted as one array against the same
+    rows of |V| and all of |V|; under |.| the lower rows add the same again
+    (_ABSOLUTE).  Each component is then a single moment, whose sign the
+    norm drops, as |h| and |y| would."""
     if n % 2 == 0:
         raise ValueError("even n rejected")
     d = (n - 1) // 2
     half, v, k = _vandermonde(grid, 2 * d + 1)
-    a, b = grid.nodes()
-    values = _poly_value(f.poly, *moment_map(a[:(grid.m + 1) // 2], b)) * _node_envelope(
-        *_gaussian_key(f), grid)
-    moments = (np.abs(half).T @ np.abs(values) @ np.abs(v)).tolist()
+    moments = (np.abs(half).T @ _abs_upper_values(f, grid) @ np.abs(v)).tolist()
     return _norm(c for lead in ((1, 0), (0, 1))
-                 for c in _components(moments, k, d, {(0, 0, 0): 1}, lead, _ABSOLUTE))
+                 for c in _components(moments, k, d, _ONE, lead, _ABSOLUTE))
 
 
 # ---------------------------------------------------------------------------

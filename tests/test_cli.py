@@ -369,6 +369,22 @@ def test_symbolic_commands_run_without_numpy():
     assert proc.stdout.strip() == "[0, 0, 0, 0]"
 
 
+# the exact side of the oracle: building, hashing and differentiating a test
+# function, its float form included, touches no numpy
+_ORACLE_WITHOUT_NUMPY = (
+    'import sys; sys.modules["numpy"] = None; from nilcone import oracle; '
+    'f = oracle.TestFunction.gaussian(center=(0, 3, 0), sigma=0.75, poly={(1, 0, 0): 2}); '
+    'hash(f); f.casimir(); [oracle.lie_derivative(z, f) for z in "HXY"]; '
+    'assert sys.modules["numpy"] is None and not any(m.startswith("numpy.") for m in sys.modules)')
+
+
+def test_exact_oracle_side_runs_without_numpy():
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _ORACLE_WITHOUT_NUMPY], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+
+
 _LOADED_SUBMODULES = """
 import sys
 import {module}
@@ -435,7 +451,8 @@ def test_memos_hold_every_n_and_degree_the_cli_accepts(capsys):
     # caps: a cold run evicts nothing, so every miss is still held
     memos = _oracle_memos()
     assert {memo.__name__ for memo in memos} >= {"_node_envelope", "_plane_moments",
-                                                 "_weighted_monomials"}
+                                                 "_weighted_monomials", "_lie_flows",
+                                                 "_abs_upper_values"}
     grid = ["--grid", str(cli.GRID_CAP)]
     for argv in (["numcheck", "--kind", "invariance", "--n", str(cli.SIZE_CAP), *grid],
                  ["numcheck", "--kind", "obstruction", "--n", str(cli.SIZE_CAP - 1), *grid],

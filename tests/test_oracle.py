@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from nilcone import oracle
 from nilcone.oracle import (CONTROL_MIN, ROUNDOFF, SIGMA_WINDOW, QuadratureGrid, TestFunction,
-                            _FLOWS, _ad_matrix, _components, _gauss_legendre,
-                            _gaussian_key, _lie_items, _monomials, _multinomial,
+                            _FLOWS, _abs_upper_values, _ad_matrix, _components,
+                            _gauss_legendre, _lie_flows, _monomials, _multinomial,
                             _node_envelope, _plane_moments, _weighted_monomials,
                             invariance_report,
                             invariance_residual, lie_derivative, moment_map,
@@ -119,12 +119,11 @@ def test_grid_nodes_repeat_bit_for_bit():
 def test_cached_rule_and_ad_matrices_are_read_only():
     f = TestFunction.gaussian(center=(0, 1, 0), sigma=0.5)
     grid = QuadratureGrid(2.5, 12, "gauss")
-    key = _gaussian_key(f)
     for arr in (*_gauss_legendre(12), *(_ad_matrix(z, 2) for z in "HXY"),
-                _node_envelope(*key, grid)):
+                _node_envelope(f.key, grid), _abs_upper_values(f, grid)):
         with pytest.raises(ValueError):
             arr[...] = 0.0
-    for table in (_plane_moments(*key, grid, 5)[0], _weighted_monomials(2)):
+    for table in (_plane_moments(f.key, grid, 5)[0], _weighted_monomials(2)):
         with pytest.raises(TypeError):
             table[0] = table[1]
         with pytest.raises(TypeError):
@@ -144,7 +143,7 @@ def test_node_envelope_is_the_envelope_at_the_node_images():
             for m in (11, 12):
                 grid = QuadratureGrid(6.0 * sigma, m, rule)
                 h, x, y = moment_map(*grid.nodes())
-                got = _node_envelope(*_gaussian_key(f), grid)
+                got = _node_envelope(f.key, grid)
                 plain = np.exp(((h - ch) ** 2 + (x - cx) ** 2 + (y - cy) ** 2) / -float(f.sigma2))
                 c = (m + 1) // 2
                 assert got.shape == (c, m)
@@ -197,21 +196,50 @@ def test_lie_derivative_matches_the_three_partials_formula():
             assert (got.center, got.sigma2) == (want.center, want.sigma2)
 
 
-def test_lie_derivative_memo_hands_each_caller_its_own_copy():
+def test_lie_derivative_memo_shares_one_read_only_flow_per_value():
     def build():
         return TestFunction.gaussian(center=(Fraction(1, 3), 1, Fraction(-1, 2)), sigma=0.8,
                                      poly={(1, 0, 0): 2, (0, 1, 1): -1, (0, 0, 0): 1})
 
-    _lie_items.cache_clear()
+    _lie_flows.cache_clear()
     first = lie_derivative("X", build())
     want = list(first.poly.items())
-    first.poly[(0, 0, 0)] = Fraction(99)
-    first.poly.popitem()
-    hits = _lie_items.cache_info().hits
+    for f in (first, build()):
+        with pytest.raises(TypeError):
+            f.poly[(0, 0, 0)] = Fraction(99)
+        with pytest.raises(AttributeError):
+            f.poly = {}
+        with pytest.raises(AttributeError):
+            del f.key
+    hits = _lie_flows.cache_info().hits
     again = lie_derivative("X", build())          # value-equal, built separately
-    assert _lie_items.cache_info().hits == hits + 1
-    assert list(again.poly.items()) == want
-    assert again.poly is not first.poly
+    assert _lie_flows.cache_info().hits == hits + 1
+    assert again is first and list(again.poly.items()) == want
+    with pytest.raises(ValueError, match="unknown direction 'Q'"):
+        lie_derivative("Q", build())
+    assert _lie_flows.cache_info().hits == hits + 1       # rejected before the memo
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _SMALL.filter(bool),
+                         min_size=1, max_size=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(poly=_POLYS, center=st.tuples(_SMALL, _SMALL, _SMALL),
+       sigma=st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=16))
+def test_float_form_is_the_exact_fields_in_floats_and_equality_is_by_value(poly, center, sigma):
+    f = TestFunction.gaussian(center=center, sigma=sigma, poly=poly)
+    assert f.key == (tuple(float(t) for t in f.center), float(f.sigma2))
+    assert f.terms == tuple((i, j, l, float(c)) for (i, j, l), c in f.poly.items())
+    assert f.degree == max(i + j + l for i, j, l in f.poly)
+    twin = TestFunction(dict(poly), center, sigma * sigma)      # built separately
+    assert twin is not f and twin == f and hash(twin) == hash(f)
+    assert {f: 1}[twin] == 1
+    assert f != TestFunction(poly, center, 2 * sigma * sigma)
+    if len(f.poly) > 1:
+        reordered = TestFunction(dict(reversed(list(f.poly.items()))), center, sigma * sigma)
+        assert reordered != f
 
 
 def test_pairing_far_gaussian_vanishes():
@@ -271,6 +299,26 @@ def test_ad_matrices_satisfy_structure_relations():
         assert np.array_equal(ah @ ax - ax @ ah, 2 * ax)
         assert np.array_equal(ah @ ay - ay @ ah, -2 * ay)
         assert np.array_equal(ax @ ay - ay @ ax, ah)
+
+
+def _ad_matrix_by_loop(z_label, degree):
+    """ad(Z) entry by entry over the monomials, kept as the reference."""
+    monos = _monomials(degree)
+    index = {mono: t for t, mono in enumerate(monos)}
+    mat = np.zeros((len(monos), len(monos)))
+    for col, mono in enumerate(monos):
+        for i, j, c in _FLOWS[z_label]:
+            if mono[j]:
+                target = tuple(e - (axis == j) + (axis == i) for axis, e in enumerate(mono))
+                mat[index[target], col] -= c * mono[j]
+    return mat
+
+
+def test_ad_matrix_matches_the_loop_at_every_degree_the_cli_accepts():
+    for degree in range(33):              # --n up to 64: degree n/2 up to 32
+        for z in "HXY":
+            want = _ad_matrix_by_loop(z, degree)
+            assert np.array_equal(_ad_matrix(z, degree), want), (z, degree)
 
 
 def test_seed_pairing_degree_zero_matches_plain_pairing():
@@ -391,11 +439,11 @@ def test_mirror_pairing_cancels_an_odd_integrand_exactly(monkeypatch):
     # times 2 for even p + q and times 0 for odd: exactly 0.0, from a nonzero entry
     f = TestFunction.gaussian(center=(Fraction(1, 3), 1, Fraction(-1, 2)), sigma=0.8,
                               poly={(1, 0, 0): 2, (0, 1, 1): -1, (0, 0, 0): 1})
-    one = {(0, 0, 0): 1}
+    one = ((0, 0, 0, 1.0),)          # the float terms of the polynomial 1
     for rule in ("midpoint", "gauss"):
         for m in (7, 8, 33, 64):
             grid = QuadratureGrid(4.8, m, rule)
-            u, k = _plane_moments(*_gaussian_key(f), grid, 7)
+            u, k = _plane_moments(f.key, grid, 7)
             for p in range(8):
                 for q in range(8):
                     moment, = _components(u, k, 0, one, (p, q))
@@ -407,7 +455,7 @@ def test_mirror_pairing_cancels_an_odd_integrand_exactly(monkeypatch):
     # the zeros are computed, not built: a NaN on one stored upper-row node
     # reaches both the obstruction and its control
     grid = QuadratureGrid(4.8, 7)
-    poisoned = _node_envelope(*_gaussian_key(f), grid).copy()
+    poisoned = _node_envelope(f.key, grid).copy()
     poisoned[1, 2] = np.nan
     monkeypatch.setattr(oracle, "_node_envelope", lambda *key: poisoned)
     _plane_moments.cache_clear()
@@ -556,14 +604,10 @@ def test_tensor_grid_pairings_match_the_flat_reference():
                                                               (rule, m, degree, name))
 
 
-_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-
-
 @settings(max_examples=30, deadline=None)
 @given(degree=st.integers(0, 4), m=st.integers(1, 64), rule=st.sampled_from(["midpoint", "gauss"]),
-       poly=st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _SMALL.filter(bool),
-                            min_size=1, max_size=3),
-       center=st.tuples(_SMALL, _SMALL, _SMALL), sigma=st.sampled_from([0.5, 0.8, 1.25]))
+       poly=_POLYS, center=st.tuples(_SMALL, _SMALL, _SMALL),
+       sigma=st.sampled_from([0.5, 0.8, 1.25]))
 def test_generated_pairings_match_the_flat_reference(degree, m, rule, poly, center, sigma):
     f = TestFunction.gaussian(center=center, sigma=sigma, poly=poly)
     _assert_pairings_match_the_flat_reference(f, QuadratureGrid(6.0 * sigma, m, rule), degree,
