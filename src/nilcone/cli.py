@@ -177,8 +177,9 @@ def _numcheck_lines(r: dict) -> list[str]:
 def _numcheck(args) -> dict:
     if args.kind == "pairing":
         return oracle.pairing_report(args.grid, args.sigma)
-    battery = oracle.invariance_report if args.kind == "invariance" else oracle.obstruction_report
-    return battery(args.n, args.grid, args.sigma)
+    if args.kind == "invariance":
+        return oracle.invariance_report(2 if args.n is None else args.n, args.grid, args.sigma)
+    return oracle.obstruction_report(1 if args.n is None else args.n, args.grid, args.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                    lines=_classify_lines)
 
     p = sub.add_parser("numcheck", help="floating-point cross-checks")
-    p.add_argument("--n", type=_natural, default=2)
+    p.add_argument("--n", type=_natural, default=None,
+                   help="default 2 for --kind invariance (even n) and 1 for obstruction "
+                        "(odd n); pairing takes no n")
     p.add_argument("--kind", choices=("invariance", "obstruction", "pairing"),
                    required=True)
     p.add_argument("--grid", type=_grid_size, default=128)

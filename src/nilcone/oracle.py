@@ -42,9 +42,10 @@ derivatives along H, X and Y per f, all three from one set of partials
 (lie_derivative).  Widths and centres that round to the same floats share
 one Gaussian entry, and no Fraction is hashed per lookup.  Floats are
 confined to this module; nothing numeric flows back into the symbolic
-side.  Grid nodes are two broadcast axis factors; the weights enter only
-through V.  The adjoint action of sl(2) is stated once, in _FLOWS: the
-terms (i, j, c) of Z give the flow derivative L_Z = sum of c xi_j d/dxi_i
+side.  A QuadratureGrid is validated and builds its rule once; its nodes
+are two broadcast axis factors, and the weights enter only through V.
+The adjoint action of sl(2) is stated once, in _FLOWS: the terms
+(i, j, c) of Z give the flow derivative L_Z = sum of c xi_j d/dxi_i
 (lie_derivative) and ad(Z) e_j = -c e_i (_ad_matrix), and a Tier-1 test
 certifies the field sum of c xi_j e_i against the 2 x 2 matrix bracket
 -[Z, xi].  The *_report functions at the end are the numcheck batteries,
@@ -150,8 +151,10 @@ class TestFunction:
     the quadrature reads is computed once, here: key, the Gaussian's
     (float centre, float squared width), which keys the envelope and moment
     memos; terms, the float terms (i, j, l, c) in item order; and degree.
-    Two test functions are equal when their items, in order, their centre
-    and their width are; the hash is computed at most once.
+    A value whose float form overflows, or whose squared width underflows
+    to 0, is rejected.  Two test functions are equal when their items, in
+    order, their centre and their width are; the hash is computed at most
+    once.
     """
 
     __slots__ = ("poly", "center", "sigma2", "key", "terms", "degree", "_hash")
@@ -163,11 +166,16 @@ class TestFunction:
         sigma2 = Fraction(sigma2)
         if sigma2 <= 0:
             raise ValueError("width must be positive")
+        try:    # a Fraction too large for a float raises rather than give inf
+            key = (tuple(map(float, center)), float(sigma2))
+            terms = tuple((i, j, l, float(c)) for (i, j, l), c in poly.items())
+        except OverflowError:
+            raise ValueError("the centre, width and coefficients must be finite as floats") from None
+        if not key[1]:
+            raise ValueError("the squared width underflows to 0 as a float")
         for name, value in (
-                ("poly", poly), ("center", center), ("sigma2", sigma2),
-                ("key", (tuple(map(float, center)), float(sigma2))),
-                ("terms", tuple((i, j, l, float(c)) for (i, j, l), c in poly.items())),
-                ("degree", max(map(sum, poly), default=0)), ("_hash", None)):
+                ("poly", poly), ("center", center), ("sigma2", sigma2), ("key", key),
+                ("terms", terms), ("degree", max(map(sum, poly), default=0)), ("_hash", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -279,20 +287,23 @@ def _lie_flows(f: TestFunction) -> MappingProxyType:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Deterministic tensor-product rule on [-R, R]^2.
-
-    Nodes are exactly symmetric under negation (midpoint nodes are built
-    as signed multiples of the step; Gauss-Legendre nodes are explicitly
-    antisymmetrized), which the parity cancellations downstream rely on.
+    """Deterministic tensor-product rule on [-R, R]^2, checked and built once:
+    the read-only 1-d nodes x and weights w, 2^k the least power of two above
+    R, and upper = ceil(m/2) are set at construction and are not fields, so
+    equality and hashing stay by (radius, m, rule).  Nodes are exactly
+    symmetric under negation (midpoint nodes are signed multiples of the step;
+    Gauss-Legendre nodes are explicitly antisymmetrized), as parity relies on.
     """
 
     radius: float
     m: int
     rule: str = "midpoint"
 
-    def nodes1d(self):
+    def __post_init__(self):
         if self.m <= 0:
             raise ValueError("need at least one node per axis")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"the grid radius must be finite and positive, got {self.radius!r}")
         if self.rule == "midpoint":
             step = 2.0 * self.radius / self.m
             x = (np.arange(self.m) - (self.m - 1) / 2.0) * step
@@ -303,14 +314,16 @@ class QuadratureGrid:
             w = w * self.radius
         else:
             raise ValueError(f"unknown rule {self.rule!r}")
-        return x, w
+        x.flags.writeable = w.flags.writeable = False
+        for name, value in (("x", x), ("w", w), ("k", math.frexp(self.radius)[1]),
+                            ("upper", (self.m + 1) // 2)):
+            object.__setattr__(self, name, value)
 
     def nodes(self):
         """(a, b) as broadcastable factors, a an (m, 1) column and b a (1, m) row,
         whose row-major broadcast is the flattened node order; order is part of
         the contract.  The weights enter only through _vandermonde."""
-        x, _ = self.nodes1d()
-        return x[:, None], x[None, :]
+        return self.x[:, None], self.x[None, :]
 
 
 @functools.lru_cache(maxsize=16)
@@ -325,20 +338,17 @@ def _gauss_legendre(m: int):
 
 
 def _vandermonde(grid: QuadratureGrid, top: int):
-    """(half, V, k): the weighted 1-d Vandermonde factor
+    """(half, V): the weighted 1-d Vandermonde factor
     V[i, p] = w_i (x_i / 2^k)^p, p <= top, on the grid's nodes x_i and
     weights w_i, and its upper ceil(m/2) rows, the middle row of an odd grid
     at half weight: that row is its own mirror, so the lower half counts it
-    again.  2^k is the least power of two above the radius, so no power
-    exceeds 1 in size and undoing the scaling is exact."""
-    x, w = grid.nodes1d()
-    k = math.frexp(grid.radius)[1]
-    v = w[:, None] * np.vander(np.ldexp(x, -k), top + 1, increasing=True)
-    half = v[:(grid.m + 1) // 2]
+    again.  No power exceeds 1 in size (QuadratureGrid.k); unscaling is exact."""
+    v = grid.w[:, None] * np.vander(np.ldexp(grid.x, -grid.k), top + 1, increasing=True)
+    half = v[:grid.upper]
     if grid.m % 2:
         half = half.copy()
         half[-1] *= 0.5
-    return half, v, k
+    return half, v
 
 
 @functools.lru_cache(maxsize=8)
@@ -351,7 +361,7 @@ def _node_envelope(key: tuple, grid: QuadratureGrid):
     (_plane_moments), and the exp runs on half of E.  The bound holds the
     distinct (Gaussian, grid) pairs of a battery."""
     a, b = grid.nodes()
-    e = _gaussian(*key, *moment_map(a[:(grid.m + 1) // 2], b))
+    e = _gaussian(*key, *moment_map(a[:grid.upper], b))
     e.flags.writeable = False
     return e
 
@@ -457,9 +467,9 @@ def _plane_moments(key: tuple, grid: QuadratureGrid, top: int):
     immutable tuple of rows.  The lower rows add (-1)^(p+q) U, so the
     moments over the whole plane are (1 + (-1)^(p+q)) U (_PLANE).  The bound
     holds the distinct (Gaussian, grid, top) keys of a battery."""
-    half, v, k = _vandermonde(grid, top)
+    half, v = _vandermonde(grid, top)
     u = half.T @ _node_envelope(key, grid) @ v
-    return tuple(map(tuple, u.tolist())), k
+    return tuple(map(tuple, u.tolist())), grid.k
 
 
 def _components(moments, k: int, degree: int, terms, lead=(0, 0), parity=_PLANE) -> list:
@@ -501,8 +511,8 @@ def seed_pairing(n: int, f: TestFunction, grid: QuadratureGrid) -> np.ndarray:
     in (H, X, Y): the component at H^a X^b Y^c is the multinomial coefficient
     times 2 * integral of h^a x^b y^c f at the image points.
     """
-    if n % 2:
-        raise ValueError("the seeded pairing requires even n")
+    if n < 0 or n % 2:
+        raise ValueError(f"the seeded pairing requires an even n >= 0, got n={n}")
     d = n // 2
     moments, k = _plane_moments(f.key, grid, 2 * (d + f.degree))
     return np.array(_components(moments, k, d, f.terms))
@@ -519,8 +529,8 @@ def invariance_residual(n: int, z_label: str, f: TestFunction,
     share their Gaussian factor, so both pairings read one set of moments.
     Odd n has no seeded pairing and is rejected.
     """
-    if n % 2:
-        raise ValueError("odd n rejected: the equivariant seed only exists for even n")
+    if n < 0 or n % 2:
+        raise ValueError(f"n={n} rejected: the equivariant seed only exists for even n >= 0")
     flow = lie_derivative(z_label, f)
     d = n // 2
     moments, k = _plane_moments(f.key, grid, 2 * (d + max(f.degree, flow.degree)))
@@ -541,8 +551,8 @@ def odd_section_obstruction(n: int, f: TestFunction, grid: QuadratureGrid,
     and must produce a visibly nonzero value; it reads the same U, signed
     by sign(a) (_SIGN_A).
     """
-    if n % 2 == 0:
-        raise ValueError("even n rejected: the obstruction pairing is for odd n")
+    if n < 0 or n % 2 == 0:
+        raise ValueError(f"n={n} rejected: the obstruction pairing is for odd n >= 1")
     d = (n - 1) // 2
     moments, k = _plane_moments(f.key, grid, 2 * (d + f.degree) + 1)
     if negative_control:
@@ -560,7 +570,7 @@ def _abs_upper_values(f: TestFunction, grid: QuadratureGrid):
     the array odd_section_scale contracts, the same for every n.  The bound
     holds the (f, grid) pairs of one battery."""
     a, b = grid.nodes()
-    values = np.abs(_poly_value(f.terms, *moment_map(a[:(grid.m + 1) // 2], b))
+    values = np.abs(_poly_value(f.terms, *moment_map(a[:grid.upper], b))
                     * _node_envelope(f.key, grid))
     values.flags.writeable = False
     return values
@@ -574,13 +584,13 @@ def odd_section_scale(n: int, f: TestFunction, grid: QuadratureGrid) -> float:
     rows of |V| and all of |V|; under |.| the lower rows add the same again
     (_ABSOLUTE).  Each component is then a single moment, whose sign the
     norm drops, as |h| and |y| would."""
-    if n % 2 == 0:
-        raise ValueError("even n rejected")
+    if n < 0 or n % 2 == 0:
+        raise ValueError(f"n={n} rejected: the obstruction scale is for odd n >= 1")
     d = (n - 1) // 2
-    half, v, k = _vandermonde(grid, 2 * d + 1)
+    half, v = _vandermonde(grid, 2 * d + 1)
     moments = (np.abs(half).T @ _abs_upper_values(f, grid) @ np.abs(v)).tolist()
     return _norm(c for lead in ((1, 0), (0, 1))
-                 for c in _components(moments, k, d, _ONE, lead, _ABSOLUTE))
+                 for c in _components(moments, grid.k, d, _ONE, lead, _ABSOLUTE))
 
 
 # ---------------------------------------------------------------------------

@@ -120,10 +120,6 @@ class TransversalDist:
         return cls.from_record(json.loads(text))
 
 
-def zero(n: int) -> TransversalDist:
-    return TransversalDist(n, {})
-
-
 def delta_seed(n: int) -> TransversalDist:
     """delta^0 tensor v_n: the transversal restriction of the cone measure
     weighted by the degree-n/2 equivariant seed function."""

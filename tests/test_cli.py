@@ -584,6 +584,14 @@ def test_numcheck_obstruction_report(capsys):
     assert json.loads(capsys.readouterr().out) == oracle.obstruction_report(1, 64, 0.75)
 
 
+def test_numcheck_n_defaults_by_kind(capsys):
+    # 1 for obstruction, which needs odd n, and 2 for invariance
+    assert run(["numcheck", "--kind", "obstruction", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == oracle.obstruction_report(1, 128, 0.75)
+    assert run(["numcheck", "--kind", "invariance", "--grid", "64", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == oracle.invariance_report(2, 64, 0.75)
+
+
 def test_numcheck_pairing_report(capsys):
     assert run(["numcheck", "--kind", "pairing", "--grid", "96", "--sigma", "1.0",
                 "--format", "json"]) == 0

@@ -97,23 +97,61 @@ def test_test_function_algebra_guards():
         TestFunction.gaussian(sigma=0)
 
 
+@pytest.mark.parametrize("center, sigma", [
+    ((0, 1, 0), 1e-200),          # sigma^2 underflows to 0.0
+    ((0, 1, 0), 1e200),           # sigma^2 overflows a float
+    ((10 ** 400, 0, 0), 1)])      # the centre overflows a float
+def test_test_function_rejects_a_float_form_it_cannot_evaluate(center, sigma):
+    with pytest.raises(ValueError):
+        TestFunction.gaussian(center=center, sigma=sigma)
+
+
 def test_grid_nodes_are_negation_symmetric():
     for rule in ("midpoint", "gauss"):
         for m in (8, 9, 16):
-            x, w = QuadratureGrid(2.5, m, rule).nodes1d()
-            assert np.array_equal(x, -x[::-1])
-            assert np.array_equal(w, w[::-1])
+            grid = QuadratureGrid(2.5, m, rule)
+            assert np.array_equal(grid.x, -grid.x[::-1])
+            assert np.array_equal(grid.w, grid.w[::-1])
 
 
 def test_grid_nodes_repeat_bit_for_bit():
+    # the rule is built once and read-only: writing into it raises, and an
+    # equal grid built again holds the same bytes
     for rule in ("midpoint", "gauss"):
         grid = QuadratureGrid(2.5, 12, rule)
-        x, w = grid.nodes1d()
-        want = x.tobytes(), w.tobytes()
-        x[:] = 0.0
-        w[:] = 0.0
-        again = grid.nodes1d()
-        assert (again[0].tobytes(), again[1].tobytes()) == want, rule
+        want = grid.x.tobytes(), grid.w.tobytes()
+        for arr in (grid.x, grid.w, *grid.nodes()):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        again = QuadratureGrid(2.5, 12, rule)
+        assert (again.x.tobytes(), again.w.tobytes()) == want, rule
+
+
+@pytest.mark.parametrize("radius, m, rule", [
+    (2.5, 0, "midpoint"), (2.5, -3, "gauss"), (2.5, 12, "simpson"),
+    (0.0, 12, "midpoint"), (-1.0, 12, "gauss"), (math.nan, 12, "midpoint"),
+    (math.inf, 12, "gauss")])
+def test_grid_is_checked_at_construction(radius, m, rule):
+    with pytest.raises(ValueError):
+        QuadratureGrid(radius, m, rule)
+
+
+def test_grid_is_a_value_that_holds_its_rule_once():
+    # x, w, k and upper are set at construction and are not fields: equal
+    # grids compare and hash equal, as the memos keyed on grids need, and the
+    # grid holds only O(m) data besides its fields
+    for rule in ("midpoint", "gauss"):
+        for radius, m in ((4.8, 7), (6.0, 64), (0.3, 1)):
+            grid = QuadratureGrid(radius, m, rule)
+            assert grid == QuadratureGrid(radius, m, rule)
+            assert hash(grid) == hash(QuadratureGrid(radius, m, rule))
+            assert grid != QuadratureGrid(radius, m + 1, rule)
+            assert vars(grid).keys() == {"radius", "m", "rule", "x", "w", "k", "upper"}
+            assert grid.x.shape == grid.w.shape == (m,)
+            assert grid.k == math.frexp(radius)[1] and 2.0 ** grid.k > radius
+            assert grid.upper == (m + 1) // 2
+            with pytest.raises(AttributeError):
+                grid.m = m + 1
 
 
 def test_cached_rule_and_ad_matrices_are_read_only():
@@ -392,6 +430,18 @@ def test_obstruction_rejects_even():
         odd_section_scale(2, TestFunction.gaussian(sigma=1.0), QuadratureGrid(6.0, 16))
 
 
+@pytest.mark.parametrize("n", [-1, -2, -3])
+def test_entry_points_reject_a_negative_n(n):
+    f, grid = TestFunction.gaussian(center=(0, 1, 0), sigma=1.0), QuadratureGrid(6.0, 16)
+    for call in (lambda: seed_pairing(n, f, grid),
+                 lambda: invariance_residual(n, "H", f, grid),
+                 lambda: odd_section_obstruction(n, f, grid),
+                 lambda: odd_section_obstruction(n, f, grid, negative_control=True),
+                 lambda: odd_section_scale(n, f, grid)):
+        with pytest.raises(ValueError, match=f"n={n}"):
+            call()
+
+
 def test_invariance_verdict_fails_on_an_unconverged_grid():
     coarse, fine = invariance_report(2, 32, 0.6), invariance_report(2, 64, 0.6)
     assert [row["m"] for row in coarse["table"]] == [8, 16, 32]
@@ -469,8 +519,7 @@ def test_mirror_pairing_cancels_an_odd_integrand_exactly(monkeypatch):
 def _weight(grid):
     """The (m, m) weight of the tensor-product rule, the outer product of the
     1-d weights; production reads the weights through the Vandermonde factor."""
-    _, w = grid.nodes1d()
-    return w[:, None] * w[None, :]
+    return grid.w[:, None] * grid.w[None, :]
 
 
 def _flat_nodes(grid):
