@@ -12,6 +12,10 @@ or as stable JSON, ending in that record's PASS/FAIL verdict:
     numcheck    oracle.invariance_report, obstruction_report, pairing_report
 
 This module parses arguments and renders records; it decides no verdict.
+Each command's arguments are parsed once, by that command's own parser;
+an argv that does not start with a command name goes to the full parser,
+which reports it.  `--format json` prints exactly
+json.dumps(record, sort_keys=True, indent=2) and a newline.
 `solve --poly` reads a monic polynomial in t as a sum of terms
 [sign] [coefficient ['*']] ['t' ['^' integer]], where a coefficient is an
 integer or integer/integer, every term after the first is signed, and
@@ -29,6 +33,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import characters, oracle, sl2, solver
 from .solver import CasimirPolynomial, GlobalQuery
@@ -98,6 +103,41 @@ def parse_poly(text: str) -> CasimirPolynomial:
     if coeffs[degree] != 1:
         raise UsageError(f"the polynomial must be monic, got leading coefficient {coeffs[degree]}")
     return CasimirPolynomial(tuple(coeffs.get(k, Fraction(0)) for k in range(degree)))
+
+
+# ---------------------------------------------------------------------------
+# JSON rendering
+
+_INF = float("inf")
+
+
+def _render_json(value, indent: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for a tree
+    of str, int, bool, None, float, list, tuple and dict with str keys, each
+    of exactly that type; any other type raises TypeError.  With an indent
+    the standard encoder runs in pure Python, one generator step per token;
+    this joins each list and dict in one call."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is dict or kind is list or kind is tuple:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        if kind is dict:    # a key that is not a str raises TypeError in _json_str
+            body = [_json_str(k) + ": " + _render_json(v, inner) for k, v in sorted(value.items())]
+            return "{" + inner + ("," + inner).join(body) + indent + "}"
+        body = [_render_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(body) + indent + "]"
+    if kind is int:
+        return repr(value)
+    if kind is bool or value is None:
+        return "true" if value is True else "false" if value is False else "null"
+    if kind is float:
+        if value != value:
+            return "NaN"
+        return "Infinity" if value == _INF else "-Infinity" if value == -_INF else repr(value)
+    raise TypeError(f"cannot render a {kind.__name__} as JSON")
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +225,16 @@ def _numcheck(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing keeps no
-    state in it, since every parse_args call fills a fresh namespace."""
+    """The full command-line parser, built once per process: parsing keeps
+    no state in it, since every parse_args call fills a fresh namespace."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and, by command name, the subparser it hands the
+    arguments after that name to."""
     parser = _Parser(prog="nilcone",
                      description="Exact classification of invariant distributions "
                                  "supported on the nilpotent cone of sl(2,R), with "
@@ -247,11 +293,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=("table", "json"), default="table")
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:     # no command name first: the full parser reports it
+        args = parser.parse_args(argv)
+    else:   # the one pass the full parser would make, without its scan for the name
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(extras))
     try:
         report = args.report(args)
     except ValueError as exc:
@@ -261,7 +315,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"internal contradiction: {exc}\n")
         return 2
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_render_json(report))
     else:
         print("\n".join(args.lines(report) + [f"{report['verdict']}: {report['verdict_detail']}"]))
     return 0 if report["verdict"] == "PASS" else 2

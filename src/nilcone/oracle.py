@@ -151,8 +151,9 @@ class TestFunction:
     the quadrature reads is computed once, here: key, the Gaussian's
     (float centre, float squared width), which keys the envelope and moment
     memos; terms, the float terms (i, j, l, c) in item order; and degree.
-    A value whose float form overflows, or whose squared width underflows
-    to 0, is rejected.  Two test functions are equal when their items, in
+    A value whose float form overflows, whose squared width underflows to
+    0, or whose envelope exponent overflows near the origin or the centre,
+    is rejected.  Two test functions are equal when their items, in
     order, their centre and their width are; the hash is computed at most
     once.
     """
@@ -173,6 +174,12 @@ class TestFunction:
             raise ValueError("the centre, width and coefficients must be finite as floats") from None
         if not key[1]:
             raise ValueError("the squared width underflows to 0 as a float")
+        # the envelope's exponent |p - c|^2 / sigma^2 at the origin plus the
+        # one at unit distance from the centre: _gaussian overflows near them
+        # unless this sum is finite
+        if not math.isfinite((1.0 + sum(t * t for t in key[0])) / key[1]):
+            raise ValueError("the Gaussian exponent overflows a float near the origin "
+                             "or the centre")
         for name, value in (
                 ("poly", poly), ("center", center), ("sigma2", sigma2), ("key", key),
                 ("terms", terms), ("degree", max(map(sum, poly), default=0)), ("_hash", None)):

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -14,7 +15,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nilcone.characters as characters
@@ -33,6 +34,13 @@ def run(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def _captured_run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 # -- polynomial parser --------------------------------------------------------
@@ -328,13 +336,46 @@ def _generated_argv(draw):
 @settings(max_examples=400, deadline=None)
 @given(_generated_argv())
 def test_generated_arguments_exit_cleanly(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+    code, _, err = _captured_run(argv)
     assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
     if code == 1:
-        assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+        assert len(err.splitlines()) == 1, (argv, err)
+
+
+# Each class of argv the full parser treats on its own: no command, help,
+# an unknown command, extras after a command, abbreviated options, --opt=value,
+# '--', an option before the command, and bad values.
+_DISPATCH_CORPUS = [
+    [], ["--help"], ["-h"], ["-h", "irrep"], ["--he"], ["irrep", "--help"], ["classify", "-h"],
+    ["numcheck", "--help"], ["kernel", "--n", "2", "--help"], ["irrep", "--n", "2", "-hx"],
+    ["nonsense"], ["nonsense", "--n", "3"], ["", "irrep"],
+    ["irrep", "--n", "2", "junk"], ["irrep", "--n", "2", "--bogus"], ["irrep", "-n", "1"],
+    ["classify", "--n", "2", "--bogus", "x", "y"], ["irrep", "--n", "1", "-x=3"],
+    ["supp0-dims", "--n", "2", "--max-deg", "6"], ["classify", "--n", "3", "--no-orig"],
+    ["classify", "--n", "3", "--no-n"], ["kernel", "--n", "2", "--max", "3"],
+    ["irrep", "--n", "1", "--form", "json"], ["irrep", "--n", "1", "--fo=json"],
+    ["irrep", "--n=3"], ["kernel", "--n=2", "--max-order=3", "--format=json"],
+    ["irrep", "--", "--n", "2"], ["irrep", "--n", "2", "--"], ["classify", "--n", "2", "--", "x"],
+    ["irrep", "--n", "1", "--format", "json", "--", "--format", "table"], ["--", "irrep"],
+    ["--n", "3", "irrep"], ["--format", "json", "irrep", "--n", "1"],
+    ["irrep"], ["irrep", "--n"], ["irrep", "--n", "65"], ["irrep", "--n", "x"],
+    ["irrep", "--n", "-1"], ["irrep", "--n", "1", "--n", "2"], ["kernel", "--n", "2"],
+    ["numcheck", "--kind", "bogus"], ["irrep", "--n", "1", "--format", "xml"],
+    ["solve", "--n", "2", "--poly", "2*t"],
+    ["solve", "--n", "3", "--poly", "t^2", "--max-order", "4"],
+    ["numcheck", "--kind", "pairing", "--grid", "32", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=" ".join)
+def test_dispatch_to_the_command_parser_matches_one_full_parser_pass(argv, monkeypatch):
+    dispatched = _captured_run(argv)
+    # with no command parser to dispatch to, main takes the single
+    # build_parser().parse_args pass over the whole argv
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (full, {}))
+    assert dispatched == _captured_run(argv)
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):
@@ -550,6 +591,44 @@ def test_json_reports_are_byte_identical(capsys):
     payload = json.loads(first)
     assert payload["verdict"] == "PASS"
     assert payload["dimension"] == 4
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 300, 2 ** 300),
+    st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308]),
+    st.text(), st.text(st.characters(max_codepoint=0x20)),
+    st.text(st.characters(min_codepoint=0x7f)))
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_TREES)
+@example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, 2 ** 300, -(2 ** 300),
+          True, False, None, "\x00\x1f\"\\\x7f\u00e9\U0001f600\ud800", (), [], {},
+          {"b": ({},), "": [[]], "a": (1, (2.5,))}])
+def test_json_renderer_matches_json_dumps(value):
+    assert cli._render_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_renderer_matches_json_dumps_on_every_frozen_report(capsys):
+    golden = json.loads(CLI_GOLDEN.read_text())
+    for entry in golden["reports"] + golden["numcheck"]:
+        run(entry["argv"] + ["--format", "json"])
+        out = capsys.readouterr().out
+        record = json.loads(out)
+        assert out == cli._render_json(record) + "\n", entry["argv"]
+        assert out == json.dumps(record, sort_keys=True, indent=2) + "\n", entry["argv"]
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), {1: "a"}, {"a": [1, {None: 2}]},
+                                   {"a": 1, 2: 3}, [True, {(1,): 0}]], ids=repr)
+def test_json_renderer_refuses_what_is_not_a_json_tree(value):
+    with pytest.raises(TypeError):
+        cli._render_json(value)
 
 
 def test_irrep_json_contains_matrices(capsys):

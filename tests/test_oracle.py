@@ -100,10 +100,17 @@ def test_test_function_algebra_guards():
 @pytest.mark.parametrize("center, sigma", [
     ((0, 1, 0), 1e-200),          # sigma^2 underflows to 0.0
     ((0, 1, 0), 1e200),           # sigma^2 overflows a float
-    ((10 ** 400, 0, 0), 1)])      # the centre overflows a float
+    ((10 ** 400, 0, 0), 1),       # the centre overflows a float
+    ((0, 1, 0), 1e-160),          # sigma^2 is subnormal: 1 / sigma^2 overflows
+    ((1e200, 0, 0), 1),           # the square of a centre coordinate overflows
+    ((1e150, 0, 0), 1e-5)])       # |c|^2 / sigma^2 overflows
 def test_test_function_rejects_a_float_form_it_cannot_evaluate(center, sigma):
-    with pytest.raises(ValueError):
-        TestFunction.gaussian(center=center, sigma=sigma)
+    # refused when built, before the envelope would overflow in a pairing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError):
+            pair_delta_nplus(TestFunction.gaussian(center=center, sigma=sigma),
+                             QuadratureGrid(4.0, 16))
 
 
 def test_grid_nodes_are_negation_symmetric():
