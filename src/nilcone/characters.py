@@ -5,16 +5,16 @@ all the structure needed to count occurrences of an irreducible inside
 symmetric powers of the adjoint module, which in turn counts the graded
 pieces of the space of invariant distributions supported at the origin.
 Everything is integer-exact; decomposition into irreducibles is done by
-peeling off highest weights, which is independently checkable by brute
-force enumeration of weight multisets (see sym_power_brute).
+peeling off highest weights.
 
 invariant_dim serves those counts from their closed form (Sym^m(V_2) is
-the sum of V_{2m-4j} over 0 <= j <= m/2); sym_power, sym_power_brute and
-decompose_into_irreducibles stay as the generic computation that certifies
-it, in acceptance criterion 6 (n <= 10, m <= 20) and in
-test_invariant_dim_examples of tests/test_characters.py (n <= 66, m <= 32).
+the sum of V_{2m-4j} over 0 <= j <= m/2).  One generic computation
+certifies it: sym_power, which enumerates the degree-m weight multisets,
+followed by decompose_into_irreducibles.  It does so in acceptance
+criterion 6 (n <= 10, m <= 20), in test_invariant_dim_examples of
+tests/test_characters.py (n <= 66, m <= 32) and in every supp0-dims record.
 
-graded_dims_report certifies against the brute-force decomposition of
+graded_dims_report certifies against the enumerated decomposition of
 Sym^m(adj), which does not depend on n, so it is computed once per degree
 m per process (_brute_adjoint_pieces, bounded at 128 entries, above the 65
 degrees of the CLI's --max-degree) as a read-only mapping, and every n
@@ -40,10 +40,6 @@ class Character:
     @classmethod
     def zero(cls) -> "Character":
         return cls({})
-
-    @classmethod
-    def one(cls) -> "Character":
-        return cls({0: 1})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -75,7 +71,8 @@ class Character:
         return "Character({%s})" % inner
 
     def stretch(self, r: int) -> "Character":
-        """Multiply every weight by r (the r-th power-sum substitution)."""
+        """Multiply every weight by r (the r-th power-sum substitution).
+        Nothing in the package calls it; bench/tracing.py traces it by name."""
         return Character({w * r: m for w, m in self.coeffs.items()})
 
     def is_symmetric(self) -> bool:
@@ -141,36 +138,13 @@ def tensor_decompose(a: int, b: int) -> tuple[int, ...]:
 
 
 def sym_power(m: int, c: Character) -> Character:
-    """Character of the m-th symmetric power via the power-sum recursion
-    m*h_m = sum_{r=1..m} p_r * h_{m-r}, with p_r the weight-stretch of c."""
+    """Character of the m-th symmetric power, by direct enumeration of the
+    degree-m monomials in the basis slots of the genuine character c."""
     if m < 0:
         raise ValueError("m must be a natural number")
     if not c.is_genuine():
         raise ValueError("sym_power expects a genuine character")
-    h = [Character.one()]
-    for j in range(1, m + 1):
-        acc = Character.zero()
-        for r in range(1, j + 1):
-            acc = acc + c.stretch(r) * h[j - r]
-        coeffs = {}
-        for w, v in acc.coeffs.items():
-            q, rem = divmod(v, j)
-            if rem:
-                raise ArithmeticError("symmetric power recursion lost integrality")
-            coeffs[w] = q
-        h.append(Character(coeffs))
-    return h[m]
-
-
-def sym_power_brute(m: int, c: Character) -> Character:
-    """Same character by direct enumeration of degree-m monomials in basis
-    slots; the independent cross-check for sym_power."""
-    slots: list[int] = []
-    for w in sorted(c.coeffs):
-        mult = c.coeffs[w]
-        if mult < 0:
-            raise ValueError("sym_power_brute expects nonnegative multiplicities")
-        slots.extend([w] * mult)
+    slots = [w for w, mult in sorted(c.coeffs.items()) for _ in range(mult)]
     out: dict[int, int] = {}
     for combo in combinations_with_replacement(range(len(slots)), m):
         w = sum(slots[i] for i in combo)
@@ -199,7 +173,7 @@ def _brute_adjoint_pieces(m: int) -> MappingProxyType:
     """{highest weight: multiplicity} of Sym^m(adj), by brute-force
     enumeration and peeling, as a read-only mapping.  Memoised per degree:
     it does not depend on n."""
-    return MappingProxyType(decompose_into_irreducibles(sym_power_brute(m, adjoint_character())))
+    return MappingProxyType(decompose_into_irreducibles(sym_power(m, adjoint_character())))
 
 
 def graded_dims_report(n: int, max_degree: int) -> dict:

@@ -110,14 +110,17 @@ def _gaussian(center, sigma2, h, x, y):
     the centre and squared width given as floats.  The squares are summed
     left to right into one buffer of the broadcast shape, which is then
     divided and exponentiated in place: the same float operations in the
-    same order as the plain expression, without an array per step."""
+    same order as the plain expression, without an array per step.  Far
+    from the centre the divide may overflow to -inf, whose exp is the
+    envelope's exact 0.0 there, so that overflow alone is silenced."""
     ch, cx, cy = center
     out = np.empty(np.broadcast_shapes(np.shape(h), np.shape(x), np.shape(y)))
     np.subtract(h, ch, out=out)
     np.square(out, out=out)
     out += np.square(x - cx)
     out += np.square(y - cy)
-    np.divide(out, -sigma2, out=out)
+    with np.errstate(over="ignore"):
+        np.divide(out, -sigma2, out=out)
     return np.exp(out, out=out)
 
 

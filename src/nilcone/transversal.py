@@ -19,8 +19,6 @@ search bound, not ours.
 
 from __future__ import annotations
 
-import json
-import math
 from fractions import Fraction
 
 from .sl2 import EndMatrix, _exact
@@ -90,10 +88,6 @@ class TransversalDist:
         c = self.terms.get((i, k))
         return _ZERO if c is None else Fraction(c)
 
-    def delta_order(self):
-        """Highest stored delta derivative order; -inf for the zero distribution."""
-        return max((k for _, k in self.terms), default=-math.inf)
-
     def _check(self, other: "TransversalDist") -> None:
         if self.n != other.n:
             raise ValueError(f"mixing distributions for n={self.n} and n={other.n}")
@@ -111,13 +105,6 @@ class TransversalDist:
     def from_record(cls, record: dict) -> "TransversalDist":
         terms = {(t["i"], t["k"]): Fraction(t["coeff"]) for t in record["terms"]}
         return cls(record["n"], terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TransversalDist":
-        return cls.from_record(json.loads(text))
 
 
 def delta_seed(n: int) -> TransversalDist:

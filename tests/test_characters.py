@@ -6,7 +6,7 @@ import nilcone.characters as characters
 from nilcone.characters import (Character, adjoint_character,
                                 decompose_into_irreducibles, graded_dims_report,
                                 invariant_dim, irrep_character, sym_power,
-                                sym_power_brute, tensor_decompose)
+                                tensor_decompose)
 
 
 def test_irrep_character_small():
@@ -53,22 +53,17 @@ def test_sym_power_trivial_and_small():
     assert sym_power(3, adj) == irrep_character(6) + irrep_character(2)
 
 
-@pytest.mark.parametrize("m", range(13))
-def test_sym_power_matches_brute_force(m):
-    adj = adjoint_character()
-    assert sym_power(m, adj) == sym_power_brute(m, adj)
-
-
 def test_sym_power_of_standard_module():
     std = irrep_character(1)
     for m in range(9):
         assert sym_power(m, std) == irrep_character(m)
-        assert sym_power(m, std) == sym_power_brute(m, std)
 
 
 def test_sym_power_rejects_non_genuine():
     with pytest.raises(ValueError):
         sym_power(2, Character({1: 1}))
+    with pytest.raises(ValueError):
+        sym_power(2, Character({-1: -1, 1: -1}))
 
 
 def test_adjoint_sym_power_decomposition_shape():
@@ -109,13 +104,13 @@ def corrupted_brute_table(monkeypatch):
     """The per-degree brute-force table re-filled with one extra V_2 in
     Sym^3(adj); the table is emptied before and after, so no corrupted
     entry outlives the test."""
-    original = characters.sym_power_brute
+    original = characters.sym_power
 
     def corrupted(m, c):
         return original(m, c) + (irrep_character(2) if m == 3 else Character.zero())
 
     characters._brute_adjoint_pieces.cache_clear()
-    monkeypatch.setattr(characters, "sym_power_brute", corrupted)
+    monkeypatch.setattr(characters, "sym_power", corrupted)
     yield
     characters._brute_adjoint_pieces.cache_clear()
 
@@ -127,6 +122,14 @@ def test_graded_dims_report_fails_on_a_corrupted_brute_table(corrupted_brute_tab
     assert report["graded_dims"][3] == 1
     # the extra V_2 leaves the multiplicities of every other V_n alone
     assert graded_dims_report(0, 12)["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 63, 64))
+def test_graded_dims_report_passes_at_the_degree_cap(n):
+    report = graded_dims_report(n, 64)
+    assert report["verdict"] == "PASS"
+    assert report["graded_dims"] == report["brute_force_dims"]
+    assert len(report["graded_dims"]) == 65
 
 
 def test_brute_table_is_computed_once_per_degree():

@@ -113,6 +113,16 @@ def test_test_function_rejects_a_float_form_it_cannot_evaluate(center, sigma):
                              QuadratureGrid(4.0, 16))
 
 
+def test_narrow_gaussian_pairs_to_zero_where_its_exponent_overflows():
+    # accepted when built: the exponent is finite near the origin and the
+    # centre, and overflows to -inf only at image points away from both,
+    # where exp gives the envelope's 0.0 without a warning
+    f = TestFunction.gaussian(center=(3, 0, 0), sigma=1e-153)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert pair_delta_nplus(f, QuadratureGrid(4.0, 16)) == 0.0
+
+
 def test_grid_nodes_are_negation_symmetric():
     for rule in ("midpoint", "gauss"):
         for m in (8, 9, 16):

@@ -1,6 +1,5 @@
 """Delta calculus identities, all exact."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -139,11 +138,6 @@ def test_radial_mn_preserves_invariance():
             assert not equivariance_defect(radial_mn(psi))
 
 
-def test_delta_order():
-    assert TransversalDist(2, {}).delta_order() == -math.inf
-    assert TransversalDist(2, {(0, 0): 1, (2, 5): -2}).delta_order() == 5
-
-
 def test_scalar_and_addition_algebra():
     psi = TransversalDist(1, {(0, 2): Fraction(1, 3)})
     assert 3 * psi == TransversalDist(1, {(0, 2): 1})
@@ -162,7 +156,6 @@ def test_term_validation():
 @settings(max_examples=60, deadline=None)
 @given(dist_strategy(4, max_order=9))
 def test_serialization_round_trip_is_bit_exact(psi):
-    assert TransversalDist.from_json(psi.to_json()) == psi
     rec = psi.to_record()
     assert TransversalDist.from_record(rec) == psi
     assert rec["terms"] == sorted(rec["terms"], key=lambda t: (t["i"], t["k"]))
