@@ -9,21 +9,30 @@ decision table all read it from there.
 kernel_basis computes, for a given delta-order bound K, the space of
 transversal distributions annihilated by the equivariance operator; the
 dimension comes out K+1 when the ladder never stops and min(K+1, L) when it
-stops after L steps.  casimir_orbit iterates the radial Casimir on the delta
-seed, which spans the same space, and dies exactly where the ladder stops.
-change_of_basis certifies the span: the change of basis is diagonal, and
-one exact equality per orbit element, orbit[k] = d_k kernel[k], proves it.
-solve_polynomial intersects the kernel with a monic polynomial equation in
-the radial Casimir, with no truncation of the image.  classify_global
-returns the invariant-open-set decision table as a record, and
-classify_square_finite_supported certifies it.  The *_report functions
-return the records of the kernel, orbit, solve and classify commands, each
-with its PASS/FAIL verdict.
+stops after L steps.  The equation is a weighted shift,
+a_{i-2,k-1} = k*i*(n-i+1)*a_{i,k}, so element j is one chain walked in
+closed form from its top coefficient a_{n,j} = 1 down to k = 0 or i = 0; a
+chain that reaches i = 1 with k > 0 is forced to zero, and there the basis
+ends.  The stop rule comes from the defect equation, not from ladder_length,
+so kernel_report still counts against an independent closed form, and each
+element must still have zero equivariance defect.  casimir_orbit iterates
+the radial Casimir on the delta seed, which spans the same space, and dies
+exactly where the ladder stops.  change_of_basis certifies the span: the
+change of basis is diagonal, and one exact equality per orbit element,
+orbit[k] = d_k kernel[k], proves it.  solve_polynomial intersects the
+kernel with a monic polynomial equation in the radial Casimir, with no
+truncation of the image.  classify_global returns the invariant-open-set
+decision table as a record, and classify_square_finite_supported certifies
+it.  The *_report functions return the records of the kernel, orbit, solve
+and classify commands, each with its PASS/FAIL verdict.
 
 Nullspace computation is exact Gauss-Jordan over Fractions with
-deterministic pivoting, the pivot of each row being its lowest column.  The
-column order is what puts the bases in top-echelon form (element j reads
-a_{n,j} = 1 and 0 at the other elements' leads): kernel_basis orders the
+deterministic pivoting, the pivot of each row being its lowest column.  It
+has two jobs: solve_polynomial's elimination over the polynomial images,
+and _kernel_by_elimination, the reference the chains are tested against
+and classify_square_finite_supported checks them with.  The column order is
+what puts the bases in top-echelon form (element j reads a_{n,j} = 1 and 0
+at the other elements' leads): _kernel_by_elimination orders the
 coordinates (i < n, k) first and the top ones (n, K), ..., (n, 0) last,
 solve_polynomial takes the kernel elements in decreasing j.  An invariant
 distribution is determined by its top coefficients, so every free column
@@ -201,18 +210,50 @@ def _equivariance_rows(n: int, coords: list[tuple[int, int]]) -> list[dict]:
 def kernel_basis(n: int, K: int) -> list[TransversalDist]:
     """Exact basis of {psi : delta order <= K, equivariance defect = 0} in
     top-echelon form: element j reads a_{n,j} = 1 and a_{n,j'} = 0 for the
-    other j'.  The top coordinates come last, in decreasing k, so the
-    nullspace vectors, reversed, are that basis."""
+    other j'.
+
+    The defect (rho(X) + y*rho(Y)) psi reads, at (i-1, k-1),
+    a_{i-2,k-1} - k*i*(n-i+1)*a_{i,k}, so the kernel is a weighted shift
+    along the diagonals i - 2k = const.  Element j is the chain that starts
+    from a_{n,j} = 1 and steps (i, k) -> (i-2, k-1) with factor
+    k*i*(n-i+1), never zero for 1 <= i <= n, until k = 0 or i = 0.  Every
+    other diagonal is zero, since the defect at (n, k) and at (i+1, K)
+    forces its top, a_{n-1,k} or a_{i,K}, to zero.  At (0, k-1) the defect
+    reads -k*n*a_{1,k}, so a chain that reaches i = 1 with k > 0 must
+    vanish: element j does not exist, nor does any later one, whose chains
+    reach i = 1 higher up (odd n).  The stop reads no ladder_length, so
+    kernel_report's count against predicted_kernel_dim stays independent.
+    Coefficients stay ints.  Each element must still have zero equivariance
+    defect; _kernel_by_elimination is the reference the chain is tested
+    against."""
     if n < 0 or K < 0:
         raise ValueError("n and K must be natural numbers")
-    coords = [(i, k) for i in range(n) for k in range(K + 1)]
-    coords += [(n, k) for k in range(K, -1, -1)]
-    vectors = _nullspace(_equivariance_rows(n, coords), len(coords))
-    basis = [TransversalDist(n, {coords[p]: v for p, v in vec.items()})
-             for vec in reversed(vectors)]
+    basis = []
+    for j in range(K + 1):
+        i, k, a = n, j, 1
+        terms = {(i, k): a}
+        while k and i > 1:
+            a *= k * i * (n - i + 1)
+            i, k = i - 2, k - 1
+            terms[(i, k)] = a
+        if k and i == 1:
+            break
+        basis.append(TransversalDist(n, terms))
     if any(equivariance_defect(psi) for psi in basis):
         raise ArithmeticError(f"kernel basis left the invariant kernel for n={n}")
     return basis
+
+
+def _kernel_by_elimination(n: int, K: int) -> list[TransversalDist]:
+    """kernel_basis by exact elimination, its reference: the nullspace of
+    the equivariance operator on every coordinate of delta order <= K.  The
+    top coordinates come last, in decreasing k, so the nullspace vectors,
+    reversed, are the top-echelon basis."""
+    coords = [(i, k) for i in range(n) for k in range(K + 1)]
+    coords += [(n, k) for k in range(K, -1, -1)]
+    vectors = _nullspace(_equivariance_rows(n, coords), len(coords))
+    return [TransversalDist(n, {coords[p]: v for p, v in vec.items()})
+            for vec in reversed(vectors)]
 
 
 def casimir_orbit(n: int, K: int) -> list[TransversalDist]:
@@ -372,9 +413,11 @@ def classify_square_finite_supported(query: GlobalQuery) -> bool:
     the missing global section must show as zero generators on both
     half-cones; this check tests the parity itself, apart from
     ladder_length, so that a wrong ladder cannot certify its own table.
-    Cone part: where the ladder never stops (even n), and for each p with a
-    nonzero constant term, the local polynomial equation must have no
-    nonzero solution.
+    Cone part: the chain kernel at delta order <= _CERTIFY_ORDER must equal
+    the eliminated one, so that no verdict rests on the chain alone; then,
+    where the ladder never stops (even n), and for each p with a nonzero
+    constant term, the local polynomial equation must have no nonzero
+    solution.
     """
     n = query.n
     answer = classify_global(query, max_degree=_CERTIFY_DEGREE)
@@ -386,6 +429,7 @@ def classify_square_finite_supported(query: GlobalQuery) -> bool:
     if n % 2 == 1:
         ok &= answer["half_cone_generators"] == {"plus": "zero", "minus": "zero"}
     if query.contains_n_plus or query.contains_n_minus:
+        ok &= kernel_basis(n, _CERTIFY_ORDER) == _kernel_by_elimination(n, _CERTIFY_ORDER)
         endless = ladder_length(n) is None
         for poly in _CERTIFY_POLYS:
             if endless or poly.valuation() == 0:

@@ -7,12 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nilcone.solver as solver
-from nilcone.solver import (CasimirPolynomial, GlobalQuery, _nullspace, casimir_orbit,
-                            change_of_basis, classify_global,
+from nilcone.solver import (CasimirPolynomial, GlobalQuery, _kernel_by_elimination,
+                            _nullspace, casimir_orbit, change_of_basis, classify_global,
                             classify_square_finite_supported, kernel_basis,
                             ladder_length, predicted_kernel_dim, predicted_solve_dim,
                             solve_polynomial)
@@ -81,6 +81,16 @@ def test_nullspace_is_the_reduced_echelon_kernel(case):
 
 
 # -- kernel_basis ------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40))
+@example(0, 64)
+@example(1, 64)
+@example(63, 64)
+@example(64, 64)
+def test_kernel_chains_are_the_eliminated_kernel(n, K):
+    assert kernel_basis(n, K) == _kernel_by_elimination(n, K)
 
 
 def test_kernel_n0_is_delta_tower():
@@ -377,4 +387,10 @@ def test_square_finite_supported_is_memoised_per_query():
 
 def test_square_finite_supported_rejects_a_local_solution(monkeypatch):
     monkeypatch.setattr(solver, "solve_polynomial", lambda n, p, K: [delta_seed(n)])
+    assert not classify_square_finite_supported.__wrapped__(GlobalQuery(2, False, True, False))
+
+
+def test_square_finite_supported_rejects_a_short_kernel(monkeypatch):
+    original = solver.kernel_basis
+    monkeypatch.setattr(solver, "kernel_basis", lambda n, K: original(n, K)[:-1])
     assert not classify_square_finite_supported.__wrapped__(GlobalQuery(2, False, True, False))
