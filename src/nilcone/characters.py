@@ -122,21 +122,6 @@ def decompose_into_irreducibles(c: Character) -> dict[int, int]:
     return out
 
 
-def tensor_decompose(a: int, b: int) -> tuple[int, ...]:
-    """Highest weights of the tensor product of the weight-a and weight-b
-    irreducibles: (a+b, a+b-2, ..., |a-b|), each with multiplicity one.
-
-    Computed by multiplying the two characters and peeling; the peeling
-    loop terminating at zero is the verification.
-    """
-    product = irrep_character(a) * irrep_character(b)
-    pieces = decompose_into_irreducibles(product)
-    out = []
-    for w in sorted(pieces, reverse=True):
-        out.extend([w] * pieces[w])
-    return tuple(out)
-
-
 def sym_power(m: int, c: Character) -> Character:
     """Character of the m-th symmetric power, by direct enumeration of the
     degree-m monomials in the basis slots of the genuine character c."""

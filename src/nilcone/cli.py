@@ -225,16 +225,11 @@ def _numcheck(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full command-line parser, built once per process: parsing keeps
-    no state in it, since every parse_args call fills a fresh namespace."""
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The full parser and, by command name, the subparser it hands the
-    arguments after that name to."""
+    arguments after that name to, built once per process: parsing keeps no
+    state in them, since every parse_args call fills a fresh namespace."""
     parser = _Parser(prog="nilcone",
                      description="Exact classification of invariant distributions "
                                  "supported on the nilpotent cone of sl(2,R), with "

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -295,39 +294,52 @@ def _lie_flows(f: TestFunction) -> MappingProxyType:
     return MappingProxyType(flows)
 
 
-@dataclass(frozen=True)
 class QuadratureGrid:
     """Deterministic tensor-product rule on [-R, R]^2, checked and built once:
-    the read-only 1-d nodes x and weights w, 2^k the least power of two above
-    R, and upper = ceil(m/2) are set at construction and are not fields, so
+    an immutable value whose fields are radius, m and rule.  The read-only
+    1-d nodes x and weights w, 2^k the least power of two above R, and
+    upper = ceil(m/2) are set at construction and are not fields, so
     equality and hashing stay by (radius, m, rule).  Nodes are exactly
     symmetric under negation (midpoint nodes are signed multiples of the step;
     Gauss-Legendre nodes are explicitly antisymmetrized), as parity relies on.
     """
 
-    radius: float
-    m: int
-    rule: str = "midpoint"
-
-    def __post_init__(self):
-        if self.m <= 0:
+    def __init__(self, radius: float, m: int, rule: str = "midpoint"):
+        if m <= 0:
             raise ValueError("need at least one node per axis")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"the grid radius must be finite and positive, got {self.radius!r}")
-        if self.rule == "midpoint":
-            step = 2.0 * self.radius / self.m
-            x = (np.arange(self.m) - (self.m - 1) / 2.0) * step
-            w = np.full(self.m, step)
-        elif self.rule == "gauss":
-            x, w = _gauss_legendre(self.m)
-            x = x * self.radius
-            w = w * self.radius
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"the grid radius must be finite and positive, got {radius!r}")
+        if rule == "midpoint":
+            step = 2.0 * radius / m
+            x = (np.arange(m) - (m - 1) / 2.0) * step
+            w = np.full(m, step)
+        elif rule == "gauss":
+            x, w = _gauss_legendre(m)
+            x = x * radius
+            w = w * radius
         else:
-            raise ValueError(f"unknown rule {self.rule!r}")
+            raise ValueError(f"unknown rule {rule!r}")
         x.flags.writeable = w.flags.writeable = False
-        for name, value in (("x", x), ("w", w), ("k", math.frexp(self.radius)[1]),
-                            ("upper", (self.m + 1) // 2)):
+        for name, value in (("radius", radius), ("m", m), ("rule", rule), ("x", x), ("w", w),
+                            ("k", math.frexp(radius)[1]), ("upper", (m + 1) // 2)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuadratureGrid is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QuadratureGrid is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not QuadratureGrid:
+            return NotImplemented
+        return (self.radius, self.m, self.rule) == (other.radius, other.m, other.rule)
+
+    def __hash__(self):
+        return hash((self.radius, self.m, self.rule))
+
+    def __repr__(self) -> str:
+        return f"QuadratureGrid(radius={self.radius!r}, m={self.m!r}, rule={self.rule!r})"
 
     def nodes(self):
         """(a, b) as broadcastable factors, a an (m, 1) column and b a (1, m) row,

@@ -20,7 +20,6 @@ values; each report gets a fresh checks dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -120,14 +119,25 @@ class EndMatrix:
             raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
 
 
-@dataclass(frozen=True, eq=False)
 class Irrep:
-    """The (n+1)-dimensional irreducible module as three exact matrices."""
+    """The (n+1)-dimensional irreducible module as three exact matrices.
+    Immutable, and equal and hashed by identity."""
 
-    n: int
-    rho_h: EndMatrix
-    rho_x: EndMatrix
-    rho_y: EndMatrix
+    __slots__ = ("n", "rho_h", "rho_x", "rho_y")
+
+    def __init__(self, n: int, rho_h: EndMatrix, rho_x: EndMatrix, rho_y: EndMatrix):
+        for name, value in zip(self.__slots__, (n, rho_h, rho_x, rho_y)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Irrep is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Irrep is immutable; cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return (f"Irrep(n={self.n!r}, rho_h={self.rho_h!r}, rho_x={self.rho_x!r}, "
+                f"rho_y={self.rho_y!r})")
 
 
 @lru_cache(maxsize=128)

@@ -3,8 +3,8 @@
 Both classification theorems follow one ladder: the radial Casimir sends
 invariant kernel element b_k to (n-2k-1) b_{k+1}.  ladder_length is the one
 place that decides where the ladder stops: after (n+1)/2 steps for odd n,
-never for even n.  The closed forms, the orbit's termination check and the
-decision table all read it from there.
+never for even n.  The predicted counts, the iterated orbit's termination
+check and the decision table all read it from there.
 
 kernel_basis computes, for a given delta-order bound K, the space of
 transversal distributions annihilated by the equivariance operator; the
@@ -15,16 +15,19 @@ closed form from its top coefficient a_{n,j} = 1 down to k = 0 or i = 0; a
 chain that reaches i = 1 with k > 0 is forced to zero, and there the basis
 ends.  The stop rule comes from the defect equation, not from ladder_length,
 so kernel_report still counts against an independent closed form, and each
-element must still have zero equivariance defect.  casimir_orbit iterates
-the radial Casimir on the delta seed, which spans the same space, and dies
-exactly where the ladder stops.  change_of_basis certifies the span: the
-change of basis is diagonal, and one exact equality per orbit element,
-orbit[k] = d_k kernel[k], proves it.  solve_polynomial intersects the
-kernel with a monic polynomial equation in the radial Casimir, with no
-truncation of the image.  classify_global returns the invariant-open-set
-decision table as a record, and classify_square_finite_supported certifies
-it.  The *_report functions return the records of the kernel, orbit, solve
-and classify commands, each with its PASS/FAIL verdict.
+element must still have zero equivariance defect.  casimir_orbit is the
+same chains scaled, iterate k being d_k b_k with d_k = (n-1)(n-3)...(n-2k+1),
+and it ends where a top-line weight n-2k-1 vanishes, again without
+ladder_length.  The iterated radial Casimir on the delta seed,
+_orbit_by_iteration, is its reference, and change_of_basis certifies the
+span with it: the change of basis from the chains to the iterated orbit is
+diagonal, and one exact equality per orbit element, orbit[k] = d_k
+kernel[k], proves it.  solve_polynomial intersects the kernel with a monic
+polynomial equation in the radial Casimir, with no truncation of the image.
+classify_global returns the invariant-open-set decision table as a record,
+and classify_square_finite_supported certifies it.  The *_report functions
+return the records of the kernel, orbit, solve and classify commands, each
+with its PASS/FAIL verdict.
 
 Nullspace computation is exact Gauss-Jordan over Fractions with
 deterministic pivoting, the pivot of each row being its lowest column.  It
@@ -43,25 +46,41 @@ top-echelon basis with no second elimination.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import invariant_dim
-from .transversal import (TransversalDist, _collect, _defect_terms, delta_seed,
-                          equivariance_defect, radial_casimir)
+from .transversal import (TransversalDist, _built, _collect, delta_seed, equivariance_defect,
+                          radial_casimir)
 
 
-@dataclass(frozen=True)
 class CasimirPolynomial:
-    """Monic polynomial p(t) = t^r + sum_{k<r} a_k t^k, r >= 1."""
+    """Monic polynomial p(t) = t^r + sum_{k<r} a_k t^k, r >= 1.  An immutable
+    value: equal and hashed by its lower coefficients."""
 
-    lower_coeffs: tuple[Fraction, ...]
+    __slots__ = ("lower_coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(a) for a in self.lower_coeffs)
+    def __init__(self, lower_coeffs: tuple[Fraction, ...]):
+        coeffs = tuple(Fraction(a) for a in lower_coeffs)
         if not coeffs:
             raise ValueError("degree must be at least 1")
         object.__setattr__(self, "lower_coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CasimirPolynomial is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CasimirPolynomial is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not CasimirPolynomial:
+            return NotImplemented
+        return self.lower_coeffs == other.lower_coeffs
+
+    def __hash__(self):
+        return hash(self.lower_coeffs)
+
+    def __repr__(self) -> str:
+        return f"CasimirPolynomial(lower_coeffs={self.lower_coeffs!r})"
 
     @property
     def degree(self) -> int:
@@ -102,14 +121,40 @@ class CasimirPolynomial:
         return "".join(parts)
 
 
-@dataclass(frozen=True)
 class GlobalQuery:
-    """An invariant open set, reduced to the orbit memberships that matter."""
+    """An invariant open set, reduced to the orbit memberships that matter.
+    An immutable value, equal and hashed by its four fields, so that it keys
+    the memo of classify_square_finite_supported."""
 
-    n: int
-    contains_origin: bool
-    contains_n_plus: bool
-    contains_n_minus: bool
+    __slots__ = ("n", "contains_origin", "contains_n_plus", "contains_n_minus")
+
+    def __init__(self, n: int, contains_origin: bool, contains_n_plus: bool,
+                 contains_n_minus: bool):
+        for name, value in zip(self.__slots__,
+                               (n, contains_origin, contains_n_plus, contains_n_minus)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GlobalQuery is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GlobalQuery is immutable; cannot delete {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.n, self.contains_origin, self.contains_n_plus, self.contains_n_minus)
+
+    def __eq__(self, other):
+        if type(other) is not GlobalQuery:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"GlobalQuery(n={self.n!r}, contains_origin={self.contains_origin!r}, "
+                f"contains_n_plus={self.contains_n_plus!r}, "
+                f"contains_n_minus={self.contains_n_minus!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +249,7 @@ def _rows(images) -> list[dict]:
 
 def _equivariance_rows(n: int, coords: list[tuple[int, int]]) -> list[dict]:
     """Sparse rows of the equivariance operator on the given coordinates."""
-    return _rows(_defect_terms(n, [(key, 1)]) for key in coords)
+    return _rows(equivariance_defect(_built(n, {key: 1})).terms.items() for key in coords)
 
 
 def kernel_basis(n: int, K: int) -> list[TransversalDist]:
@@ -238,7 +283,7 @@ def kernel_basis(n: int, K: int) -> list[TransversalDist]:
             terms[(i, k)] = a
         if k and i == 1:
             break
-        basis.append(TransversalDist(n, terms))
+        basis.append(_built(n, terms))
     if any(equivariance_defect(psi) for psi in basis):
         raise ArithmeticError(f"kernel basis left the invariant kernel for n={n}")
     return basis
@@ -257,7 +302,36 @@ def _kernel_by_elimination(n: int, K: int) -> list[TransversalDist]:
 
 
 def casimir_orbit(n: int, K: int) -> list[TransversalDist]:
-    """Iterates of the radial Casimir on the delta seed.
+    """Iterates of the radial Casimir on the delta seed, in closed form.
+
+    The radial Casimir sends kernel element b_k to (n-2k-1) b_{k+1}, so
+    iterate k is d_k b_k, d_k = (n-1)(n-3)...(n-2k+1), built from the
+    kernel_basis chains.  The length comes from those top-line weights
+    n-2k-1: when one vanishes (odd n), the orbit is every iterate up to it,
+    whatever K is; when none does (even n), the first K+1 iterates.  It
+    reads neither ladder_length nor predicted_orbit_length, so orbit_report
+    still counts against an independent closed form.  Each element has zero
+    equivariance defect, through kernel_basis; _orbit_by_iteration is the
+    reference it is tested against.
+    """
+    if n < 0 or K < 0:
+        raise ValueError("n and K must be natural numbers")
+    # the weights fall by 2 from n-1, so past k = n they are all negative
+    stop = next((k for k in range(n) if n - 2 * k - 1 == 0), None)
+    length = K + 1 if stop is None else stop + 1
+    basis = kernel_basis(n, length - 1)
+    if len(basis) < length:
+        raise ArithmeticError(f"Casimir orbit died early for n={n}")
+    out, d = [], 1
+    for k, b in enumerate(basis):
+        out.append(_built(n, {key: d * a for key, a in b.terms.items()}))
+        d *= n - 2 * k - 1
+    return out
+
+
+def _orbit_by_iteration(n: int, K: int) -> list[TransversalDist]:
+    """casimir_orbit by iterating the radial Casimir on the delta seed, its
+    reference and the route change_of_basis compares the chains with.
 
     When the ladder never stops (even n): the first K+1 iterates.  When it
     stops after ladder_length(n) steps (odd n): all nonzero iterates, that
@@ -284,16 +358,17 @@ def change_of_basis(n: int, K: int) -> tuple[tuple[Fraction, ...], ...]:
     """Matrix of the Casimir orbit in kernel_basis coordinates (columns are
     orbit elements): diagonal, entry k the product (n-1)(n-3)...(n-2k+1),
     since the radial Casimir sends kernel element k to (n-2k-1) times
-    element k+1.  One exact equality per orbit element certifies it:
-    orbit[k] = d_k basis[k] with d_k, its top coefficient a_{n,k}, nonzero;
-    in the top-echelon basis that places d_k on the diagonal and 0 off it.
-    Where the ladder stops after L steps, the bound K must be below L,
-    where the orbit runs out."""
+    element k+1.  The orbit here is the iterated one, _orbit_by_iteration,
+    so two independent routes meet: one exact equality per orbit element
+    certifies the matrix, orbit[k] = d_k basis[k] with d_k, its top
+    coefficient a_{n,k}, nonzero; in the top-echelon basis that places d_k
+    on the diagonal and 0 off it.  Where the ladder stops after L steps,
+    the bound K must be below L, where the orbit runs out."""
     steps = ladder_length(n)
     if steps is not None and K >= steps:
         raise ValueError(f"for n={n} the orbit supports only K <= {steps - 1}")
     basis = kernel_basis(n, K)
-    orbit = casimir_orbit(n, K)[:K + 1]
+    orbit = _orbit_by_iteration(n, K)[:K + 1]
     if len(orbit) != len(basis):
         raise ArithmeticError("orbit and kernel sizes disagree")
     diagonal = [psi.coefficient(n, k) for k, psi in enumerate(orbit)]

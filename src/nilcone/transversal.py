@@ -14,7 +14,10 @@ rho(H) scales v_i by 2i-n.  apply_endo, which multiplies by an sl2.EndMatrix,
 is kept as the reference these formulas are checked against.
 
 Operations never truncate in the delta order k; any cutoff is the caller's
-search bound, not ours.
+search bound, not ours.  The public constructor checks outside input.  A
+distribution the engine computes from others is built without those
+checks, its terms being in range by construction: by _built when they are
+also clean, by _from_sums when zeros and integral Fractions may remain.
 """
 
 from __future__ import annotations
@@ -66,17 +69,17 @@ class TransversalDist:
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, 0) + coeff
-        return TransversalDist(self.n, out)
+        return _from_sums(self.n, out)
 
     def __sub__(self, other: "TransversalDist") -> "TransversalDist":
         return self + (-other)
 
     def __neg__(self) -> "TransversalDist":
-        return TransversalDist(self.n, {key: -c for key, c in self.terms.items()})
+        return _built(self.n, {key: -c for key, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "TransversalDist":
         scalar = _exact(scalar)
-        return TransversalDist(self.n, {key: scalar * c for key, c in self.terms.items()})
+        return _from_sums(self.n, {key: scalar * c for key, c in self.terms.items()})
 
     __mul__ = __rmul__
 
@@ -107,6 +110,23 @@ class TransversalDist:
         return cls(record["n"], terms)
 
 
+def _built(n: int, terms: dict) -> TransversalDist:
+    """The distribution of a term map the engine computed, clean by
+    construction: keys in range, no zero value, integral values as ints.
+    None of the constructor's checks is repeated."""
+    psi = object.__new__(TransversalDist)
+    psi.n = n
+    psi.terms = terms
+    return psi
+
+
+def _from_sums(n: int, sums: dict) -> TransversalDist:
+    """_built from summed terms, which may hold zeros and integral
+    Fractions: the zeros are dropped and integral Fractions stored as ints."""
+    return _built(n, {key: c if type(c) is int or c.denominator != 1 else c.numerator
+                      for key, c in sums.items() if c})
+
+
 def delta_seed(n: int) -> TransversalDist:
     """delta^0 tensor v_n: the transversal restriction of the cone measure
     weighted by the degree-n/2 equivariant seed function."""
@@ -115,7 +135,7 @@ def delta_seed(n: int) -> TransversalDist:
 
 def d_dy(psi: TransversalDist) -> TransversalDist:
     """Derivative in the transversal coordinate: shifts every k up by one."""
-    return TransversalDist(psi.n, {(i, k + 1): c for (i, k), c in psi.terms.items()})
+    return _built(psi.n, {(i, k + 1): c for (i, k), c in psi.terms.items()})
 
 
 def mul_y(psi: TransversalDist) -> TransversalDist:
@@ -126,7 +146,7 @@ def mul_y(psi: TransversalDist) -> TransversalDist:
             continue
         key = (i, k - 1)
         out[key] = out.get(key, 0) - k * c
-    return TransversalDist(psi.n, out)
+    return _from_sums(psi.n, out)
 
 
 def apply_endo(endo: EndMatrix, psi: TransversalDist) -> TransversalDist:
@@ -140,32 +160,34 @@ def apply_endo(endo: EndMatrix, psi: TransversalDist) -> TransversalDist:
             if e:
                 key = (j, k)
                 out[key] = out.get(key, Fraction(0)) + e * c
-    return TransversalDist(psi.n, out)
+    return _from_sums(psi.n, out)
 
 
 def _collect(n: int, contributions) -> TransversalDist:
     """Sum (key, coefficient) contributions into a distribution."""
     out: dict[tuple[int, int], Fraction] = {}
+    get = out.get
     for key, coeff in contributions:
-        out[key] = out.get(key, 0) + coeff
-    return TransversalDist(n, out)
-
-
-def _defect_terms(n: int, terms):
-    """(rho(X) + y*rho(Y)) on each a*delta^k (x) v_i, as (key, coefficient)
-    contributions: rho(X) gives a*delta^k (x) v_{i+1}, and y*rho(Y) gives
-    -k(n-i+1)i*a*delta^{k-1} (x) v_{i-1}."""
-    for (i, k), c in terms:
-        if i < n:
-            yield (i + 1, k), c
-        if i and k:
-            yield (i - 1, k - 1), -k * (n - i + 1) * i * c
+        out[key] = get(key, 0) + coeff
+    return _from_sums(n, out)
 
 
 def equivariance_defect(psi: TransversalDist) -> TransversalDist:
     """(rho(X) + y*rho(Y)) psi.  Zero exactly when psi is the transversal
-    restriction of a locally invariant distribution."""
-    return _collect(psi.n, _defect_terms(psi.n, psi.terms.items()))
+    restriction of a locally invariant distribution.  Term by term, rho(X)
+    sends a*delta^k (x) v_i to a*delta^k (x) v_{i+1}, and y*rho(Y) sends it
+    to -k(n-i+1)i*a*delta^{k-1} (x) v_{i-1}."""
+    n = psi.n
+    out: dict[tuple[int, int], Fraction] = {}
+    get = out.get
+    for (i, k), c in psi.terms.items():
+        if i < n:
+            key = (i + 1, k)
+            out[key] = get(key, 0) + c
+        if i and k:
+            key = (i - 1, k - 1)
+            out[key] = get(key, 0) - k * (n - i + 1) * i * c
+    return _from_sums(n, out)
 
 
 def radial_casimir(psi: TransversalDist) -> TransversalDist:
@@ -178,14 +200,15 @@ def radial_casimir(psi: TransversalDist) -> TransversalDist:
     whole classification.
     """
     n = psi.n
-
-    def contributions():
-        for (i, k), c in psi.terms.items():
-            yield (i, k + 1), (2 * i - n - 2 * k - 1) * c
-            if i >= 2:
-                yield (i - 2, k), (n - i + 1) * i * (n - i + 2) * (i - 1) // 2 * c
-
-    return _collect(n, contributions())
+    out: dict[tuple[int, int], Fraction] = {}
+    get = out.get
+    for (i, k), c in psi.terms.items():
+        key = (i, k + 1)
+        out[key] = get(key, 0) + (2 * i - n - 2 * k - 1) * c
+        if i >= 2:
+            key = (i - 2, k)
+            out[key] = get(key, 0) + (n - i + 1) * i * (n - i + 2) * (i - 1) // 2 * c
+    return _from_sums(n, out)
 
 
 def radial_mn(psi: TransversalDist) -> TransversalDist:

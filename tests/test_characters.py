@@ -5,8 +5,7 @@ import pytest
 import nilcone.characters as characters
 from nilcone.characters import (Character, adjoint_character,
                                 decompose_into_irreducibles, graded_dims_report,
-                                invariant_dim, irrep_character, sym_power,
-                                tensor_decompose)
+                                invariant_dim, irrep_character, sym_power)
 
 
 def test_irrep_character_small():
@@ -21,26 +20,11 @@ def test_characters_are_genuine():
         assert irrep_character(n).dimension() == n + 1
 
 
-def test_tensor_decompose_examples():
-    for a in range(6):
-        assert tensor_decompose(a, 0) == (a,)
-    # hand peeling: {-1,1}^2 = {-2:1, 0:2, 2:1} -> V_2 then V_0
-    assert tensor_decompose(1, 1) == (2, 0)
-    # {-2,0,2}^2 = {-4:1,-2:2,0:3,2:2,4:1} -> V_4, V_2, V_0
-    assert tensor_decompose(2, 2) == (4, 2, 0)
-
-
-def test_tensor_decompose_clebsch_gordan_range():
-    for a in range(7):
-        for b in range(7):
-            expected = tuple(range(a + b, abs(a - b) - 1, -2))
-            assert tensor_decompose(a, b) == expected
-
-
 @pytest.mark.parametrize("a", range(13))
 @pytest.mark.parametrize("b", range(13))
 def test_tensor_dimension_sum(a, b):
-    assert sum(w + 1 for w in tensor_decompose(a, b)) == (a + 1) * (b + 1)
+    pieces = decompose_into_irreducibles(irrep_character(a) * irrep_character(b))
+    assert sum((w + 1) * m for w, m in pieces.items()) == (a + 1) * (b + 1)
 
 
 def test_sym_power_trivial_and_small():

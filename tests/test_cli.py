@@ -372,14 +372,14 @@ _DISPATCH_CORPUS = [
 def test_dispatch_to_the_command_parser_matches_one_full_parser_pass(argv, monkeypatch):
     dispatched = _captured_run(argv)
     # with no command parser to dispatch to, main takes the single
-    # build_parser().parse_args pass over the whole argv
-    full = cli.build_parser()
+    # parse_args pass of the full parser over the whole argv
+    full = cli._parsers()[0]
     monkeypatch.setattr(cli, "_parsers", lambda: (full, {}))
     assert dispatched == _captured_run(argv)
 
 
 def test_reused_parser_keeps_no_state_between_calls(capsys):
-    assert cli.build_parser() is cli.build_parser()
+    assert cli._parsers()[0] is cli._parsers()[0]
     assert run(["classify", "--n", "2", "--no-origin", "--max-degree", "4"]) == 0
     assert run(["classify", "--n", "2", "--max-degree", "65"]) == 1
     capsys.readouterr()
@@ -446,6 +446,18 @@ def test_each_import_loads_only_what_it_uses(module, loaded):
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(loaded)
+
+
+@pytest.mark.parametrize("module", ["nilcone.solver", "nilcone.cli", "nilcone.oracle"])
+def test_entry_modules_do_not_load_dataclasses(module):
+    # the value classes are written out by hand: dataclasses would pull in
+    # inspect, ast and tokenize at every start of the engine
+    src = Path(cli.__file__).resolve().parents[1]
+    code = f"import sys; import {module}; print('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_library_value_errors_exit_one(monkeypatch, capsys):

@@ -87,6 +87,15 @@ def test_corrupted_module_fails_after_the_genuine_one_passed(monkeypatch):
     _assert_fails_on_the_broken_module(sl2.irrep_report(2))
 
 
+def test_module_is_immutable_and_keyed_by_identity():
+    rep = make_irrep(2)
+    twin = type(rep)(2, rep.rho_h, rep.rho_x, rep.rho_y)
+    assert rep == rep and rep != twin and len({rep, twin}) == 2
+    assert repr(twin) == repr(rep)
+    with pytest.raises(AttributeError):
+        rep.rho_y = rep.rho_x
+
+
 def test_module_checks_are_memoised_per_module():
     sl2.irrep_report(5)
     hits = sl2._module_checks.cache_info().hits

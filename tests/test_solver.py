@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 import nilcone.solver as solver
 from nilcone.solver import (CasimirPolynomial, GlobalQuery, _kernel_by_elimination,
-                            _nullspace, casimir_orbit, change_of_basis, classify_global,
+                            _nullspace, _orbit_by_iteration, casimir_orbit,
+                            change_of_basis, classify_global,
                             classify_square_finite_supported, kernel_basis,
                             ladder_length, predicted_kernel_dim, predicted_solve_dim,
                             solve_polynomial)
@@ -83,6 +85,23 @@ def test_nullspace_is_the_reduced_echelon_kernel(case):
 # -- kernel_basis ------------------------------------------------------------
 
 
+def product_formula(n: int, K: int) -> list[TransversalDist]:
+    """kernel_basis in product form: element j has
+    a_{n-2s, j-s} = j!/(j-s)! * prod_{t<s} (n-2t) * (2s-1)!! for s up to
+    min(j, n // 2), where k = 0 or i <= 1, and does not exist, nor does any
+    later one, when its chain ends at i = 1 with k > 0."""
+    basis = []
+    for j in range(K + 1):
+        last = min(j, n // 2)
+        if n - 2 * last == 1 and j > last:
+            break
+        basis.append(TransversalDist(n, {
+            (n - 2 * s, j - s): math.perm(j, s) * math.prod(range(n, n - 2 * s, -2))
+            * math.prod(range(1, 2 * s, 2))
+            for s in range(last + 1)}))
+    return basis
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 40), st.integers(0, 40))
 @example(0, 64)
@@ -90,7 +109,21 @@ def test_nullspace_is_the_reduced_echelon_kernel(case):
 @example(63, 64)
 @example(64, 64)
 def test_kernel_chains_are_the_eliminated_kernel(n, K):
-    assert kernel_basis(n, K) == _kernel_by_elimination(n, K)
+    # three routes: the chain walk (production), the elimination and the
+    # product formula
+    chains = kernel_basis(n, K)
+    assert chains == _kernel_by_elimination(n, K)
+    assert chains == product_formula(n, K)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40))
+@example(0, 64)
+@example(1, 64)
+@example(63, 64)
+@example(64, 64)
+def test_closed_orbit_is_the_iterated_orbit(n, K):
+    assert casimir_orbit(n, K) == _orbit_by_iteration(n, K)
 
 
 def test_kernel_n0_is_delta_tower():
@@ -237,13 +270,13 @@ def test_change_of_basis_rejects_overlong_odd_request():
 def test_change_of_basis_rejects_a_corrupted_orbit(monkeypatch, n, K):
     # an off-diagonal entry (orbit[k] + basis[k+1]), then a zero diagonal
     # entry (orbit[k] with its top coefficient a_{n,k} removed)
-    basis, orbit = kernel_basis(n, K), casimir_orbit(n, K)
+    basis, orbit = kernel_basis(n, K), _orbit_by_iteration(n, K)
     corruptions = [(k, orbit[k] + basis[k + 1]) for k in range(K)]
     corruptions += [(k, TransversalDist(n, {key: c for key, c in orbit[k].terms.items()
                                             if key != (n, k)}))
                     for k in range(K + 1)]
     for k, bad in corruptions:
-        monkeypatch.setattr(solver, "casimir_orbit",
+        monkeypatch.setattr(solver, "_orbit_by_iteration",
                             lambda *_, k=k, bad=bad: orbit[:k] + [bad] + orbit[k + 1:])
         with pytest.raises(ArithmeticError):
             change_of_basis(n, K)
@@ -321,6 +354,21 @@ def test_casimir_polynomial_api():
     assert str(CasimirPolynomial((0, 1))) == "t^2 + t"
     with pytest.raises(ValueError):
         CasimirPolynomial(())
+
+
+def test_polynomials_and_queries_are_immutable_values():
+    p = CasimirPolynomial((1, Fraction(-3, 2)))
+    q = GlobalQuery(4, True, False, True)
+    for value, same, other in ((p, CasimirPolynomial((Fraction(1), Fraction(-3, 2))),
+                                CasimirPolynomial((1,))),
+                               (q, GlobalQuery(4, True, False, True),
+                                GlobalQuery(4, True, True, True))):
+        assert value == same and hash(value) == hash(same) and value != other
+        assert eval(repr(value)) == value
+        with pytest.raises(AttributeError):
+            value.n = 5
+    assert repr(q) == ("GlobalQuery(n=4, contains_origin=True, contains_n_plus=False, "
+                       "contains_n_minus=True)")
 
 
 # -- global classification ----------------------------------------------------
