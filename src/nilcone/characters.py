@@ -37,10 +37,6 @@ class Character:
     def __init__(self, coeffs=None):
         self.coeffs = {int(w): int(m) for w, m in (coeffs or {}).items() if m}
 
-    @classmethod
-    def zero(cls) -> "Character":
-        return cls({})
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -81,9 +77,6 @@ class Character:
     def is_genuine(self) -> bool:
         """Symmetric with nonnegative multiplicities: the character of an actual module."""
         return self.is_symmetric() and all(m >= 0 for m in self.coeffs.values())
-
-    def dimension(self) -> int:
-        return sum(self.coeffs.values())
 
     def max_weight(self) -> int:
         if not self.coeffs:

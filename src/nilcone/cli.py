@@ -45,10 +45,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _ranged(convert, accept, requirement: str):
     """argparse type: convert the text, then require accept(value)."""
     def parse(text: str):
@@ -90,18 +86,18 @@ def parse_poly(text: str) -> CasimirPolynomial:
         term = _TERM.match(text, pos)
         sign, num, den, star, t, exponent = term.groups()
         if not (num or t) or (star and not t) or (pos and not sign) or (den and not int(den)):
-            raise UsageError(f"malformed term at position {pos} of polynomial {text!r}")
+            raise ValueError(f"malformed term at position {pos} of polynomial {text!r}")
         degree = int(exponent or 1) if t else 0
         coeff = Fraction(int(num), int(den or 1)) if num else Fraction(1)
         coeffs[degree] = coeffs.get(degree, 0) + (-coeff if sign == "-" else coeff)
         pos = term.end()
     degree = max(coeffs)
     if degree > SIZE_CAP:
-        raise UsageError(f"the polynomial degree must be at most {SIZE_CAP}, got {degree}")
+        raise ValueError(f"the polynomial degree must be at most {SIZE_CAP}, got {degree}")
     if degree < 1:
-        raise UsageError("the polynomial must have degree at least 1")
+        raise ValueError("the polynomial must have degree at least 1")
     if coeffs[degree] != 1:
-        raise UsageError(f"the polynomial must be monic, got leading coefficient {coeffs[degree]}")
+        raise ValueError(f"the polynomial must be monic, got leading coefficient {coeffs[degree]}")
     return CasimirPolynomial(tuple(coeffs.get(k, Fraction(0)) for k in range(degree)))
 
 

@@ -59,6 +59,8 @@ import math
 from fractions import Fraction
 from types import MappingProxyType
 
+from . import Value
+
 
 class _Numpy:
     """Stands in for the numpy module until the first numeric call, so that
@@ -143,7 +145,7 @@ def _mul_polys(p1, p2):
     return out
 
 
-class TestFunction:
+class TestFunction(Value):
     """Polynomial times centered Gaussian on R^3, closed under d/dh, d/dx, d/dy.
 
     An immutable value.  The polynomial part is a read-only mapping from
@@ -182,23 +184,14 @@ class TestFunction:
         if not math.isfinite((1.0 + sum(t * t for t in key[0])) / key[1]):
             raise ValueError("the Gaussian exponent overflows a float near the origin "
                              "or the centre")
-        for name, value in (
-                ("poly", poly), ("center", center), ("sigma2", sigma2), ("key", key),
-                ("terms", terms), ("degree", max(map(sum, poly), default=0)), ("_hash", None)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TestFunction is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"TestFunction is immutable; cannot delete {name!r}")
+        self._set(poly=poly, center=center, sigma2=sigma2, key=key, terms=terms,
+                  degree=max(map(sum, poly), default=0), _hash=None)
 
     def __hash__(self):
         # computed on first use: most test functions, such as the partials
         # behind a flow or a Casimir image, are never hashed
         if self._hash is None:
-            object.__setattr__(self, "_hash",
-                               hash((tuple(self.poly.items()), self.center, self.sigma2)))
+            self._set(_hash=hash((tuple(self.poly.items()), self.center, self.sigma2)))
         return self._hash
 
     def __eq__(self, other):
@@ -294,7 +287,7 @@ def _lie_flows(f: TestFunction) -> MappingProxyType:
     return MappingProxyType(flows)
 
 
-class QuadratureGrid:
+class QuadratureGrid(Value):
     """Deterministic tensor-product rule on [-R, R]^2, checked and built once:
     an immutable value whose fields are radius, m and rule.  The read-only
     1-d nodes x and weights w, 2^k the least power of two above R, and
@@ -303,6 +296,8 @@ class QuadratureGrid:
     symmetric under negation (midpoint nodes are signed multiples of the step;
     Gauss-Legendre nodes are explicitly antisymmetrized), as parity relies on.
     """
+
+    _FIELDS = ("radius", "m", "rule")
 
     def __init__(self, radius: float, m: int, rule: str = "midpoint"):
         if m <= 0:
@@ -320,26 +315,8 @@ class QuadratureGrid:
         else:
             raise ValueError(f"unknown rule {rule!r}")
         x.flags.writeable = w.flags.writeable = False
-        for name, value in (("radius", radius), ("m", m), ("rule", rule), ("x", x), ("w", w),
-                            ("k", math.frexp(radius)[1]), ("upper", (m + 1) // 2)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"QuadratureGrid is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"QuadratureGrid is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not QuadratureGrid:
-            return NotImplemented
-        return (self.radius, self.m, self.rule) == (other.radius, other.m, other.rule)
-
-    def __hash__(self):
-        return hash((self.radius, self.m, self.rule))
-
-    def __repr__(self) -> str:
-        return f"QuadratureGrid(radius={self.radius!r}, m={self.m!r}, rule={self.rule!r})"
+        self._set(radius=radius, m=m, rule=rule, x=x, w=w, k=math.frexp(radius)[1],
+                  upper=(m + 1) // 2)
 
     def nodes(self):
         """(a, b) as broadcastable factors, a an (m, 1) column and b a (1, m) row,

@@ -23,6 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import Value
+
 
 def _exact(value):
     """value as an int when it is integral, else as a Fraction."""
@@ -45,10 +47,6 @@ class EndMatrix:
             raise ValueError(f"expected a {dim}x{dim} matrix for n={n}")
         self.n = n
         self.rows = rows
-
-    @classmethod
-    def zero(cls, n: int) -> "EndMatrix":
-        return cls(n, [[0] * (n + 1) for _ in range(n + 1)])
 
     @classmethod
     def identity(cls, n: int) -> "EndMatrix":
@@ -119,21 +117,14 @@ class EndMatrix:
             raise ValueError(f"dimension mismatch: n={self.n} vs n={other.n}")
 
 
-class Irrep:
+class Irrep(Value):
     """The (n+1)-dimensional irreducible module as three exact matrices.
     Immutable, and equal and hashed by identity."""
 
     __slots__ = ("n", "rho_h", "rho_x", "rho_y")
 
     def __init__(self, n: int, rho_h: EndMatrix, rho_x: EndMatrix, rho_y: EndMatrix):
-        for name, value in zip(self.__slots__, (n, rho_h, rho_x, rho_y)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Irrep is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Irrep is immutable; cannot delete {name!r}")
+        self._set(n=n, rho_h=rho_h, rho_x=rho_x, rho_y=rho_y)
 
     def __repr__(self) -> str:
         return (f"Irrep(n={self.n!r}, rho_h={self.rho_h!r}, rho_x={self.rho_x!r}, "

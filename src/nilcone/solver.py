@@ -48,39 +48,23 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
+from . import Value
 from .characters import invariant_dim
 from .transversal import (TransversalDist, _built, _collect, delta_seed, equivariance_defect,
                           radial_casimir)
 
 
-class CasimirPolynomial:
+class CasimirPolynomial(Value):
     """Monic polynomial p(t) = t^r + sum_{k<r} a_k t^k, r >= 1.  An immutable
     value: equal and hashed by its lower coefficients."""
 
-    __slots__ = ("lower_coeffs",)
+    __slots__ = _FIELDS = ("lower_coeffs",)
 
     def __init__(self, lower_coeffs: tuple[Fraction, ...]):
         coeffs = tuple(Fraction(a) for a in lower_coeffs)
         if not coeffs:
             raise ValueError("degree must be at least 1")
-        object.__setattr__(self, "lower_coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CasimirPolynomial is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"CasimirPolynomial is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not CasimirPolynomial:
-            return NotImplemented
-        return self.lower_coeffs == other.lower_coeffs
-
-    def __hash__(self):
-        return hash(self.lower_coeffs)
-
-    def __repr__(self) -> str:
-        return f"CasimirPolynomial(lower_coeffs={self.lower_coeffs!r})"
+        self._set(lower_coeffs=coeffs)
 
     @property
     def degree(self) -> int:
@@ -121,40 +105,17 @@ class CasimirPolynomial:
         return "".join(parts)
 
 
-class GlobalQuery:
+class GlobalQuery(Value):
     """An invariant open set, reduced to the orbit memberships that matter.
     An immutable value, equal and hashed by its four fields, so that it keys
     the memo of classify_square_finite_supported."""
 
-    __slots__ = ("n", "contains_origin", "contains_n_plus", "contains_n_minus")
+    __slots__ = _FIELDS = ("n", "contains_origin", "contains_n_plus", "contains_n_minus")
 
     def __init__(self, n: int, contains_origin: bool, contains_n_plus: bool,
                  contains_n_minus: bool):
-        for name, value in zip(self.__slots__,
-                               (n, contains_origin, contains_n_plus, contains_n_minus)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GlobalQuery is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GlobalQuery is immutable; cannot delete {name!r}")
-
-    def _fields(self) -> tuple:
-        return (self.n, self.contains_origin, self.contains_n_plus, self.contains_n_minus)
-
-    def __eq__(self, other):
-        if type(other) is not GlobalQuery:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"GlobalQuery(n={self.n!r}, contains_origin={self.contains_origin!r}, "
-                f"contains_n_plus={self.contains_n_plus!r}, "
-                f"contains_n_minus={self.contains_n_minus!r})")
+        self._set(n=n, contains_origin=contains_origin, contains_n_plus=contains_n_plus,
+                  contains_n_minus=contains_n_minus)
 
 
 # ---------------------------------------------------------------------------

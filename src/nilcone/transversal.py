@@ -104,11 +104,6 @@ class TransversalDist:
                       for (i, k), c in sorted(self.terms.items())],
         }
 
-    @classmethod
-    def from_record(cls, record: dict) -> "TransversalDist":
-        terms = {(t["i"], t["k"]): Fraction(t["coeff"]) for t in record["terms"]}
-        return cls(record["n"], terms)
-
 
 def _built(n: int, terms: dict) -> TransversalDist:
     """The distribution of a term map the engine computed, clean by

@@ -163,12 +163,19 @@ def test_grid_is_a_value_that_holds_its_rule_once():
             assert grid == QuadratureGrid(radius, m, rule)
             assert hash(grid) == hash(QuadratureGrid(radius, m, rule))
             assert grid != QuadratureGrid(radius, m + 1, rule)
+            assert grid != (radius, m, rule) and hash(grid) == hash((radius, m, rule))
+            assert repr(grid) == f"QuadratureGrid(radius={radius!r}, m={m!r}, rule={rule!r})"
             assert vars(grid).keys() == {"radius", "m", "rule", "x", "w", "k", "upper"}
             assert grid.x.shape == grid.w.shape == (m,)
             assert grid.k == math.frexp(radius)[1] and 2.0 ** grid.k > radius
             assert grid.upper == (m + 1) // 2
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError,
+                               match="^QuadratureGrid is immutable; cannot set 'm'$"):
                 grid.m = m + 1
+            for name in vars(grid):
+                with pytest.raises(AttributeError,
+                                   match=f"^QuadratureGrid is immutable; cannot delete '{name}'$"):
+                    delattr(grid, name)
 
 
 def test_cached_rule_and_ad_matrices_are_read_only():

@@ -91,9 +91,13 @@ def test_module_is_immutable_and_keyed_by_identity():
     rep = make_irrep(2)
     twin = type(rep)(2, rep.rho_h, rep.rho_x, rep.rho_y)
     assert rep == rep and rep != twin and len({rep, twin}) == 2
+    assert rep != (2, rep.rho_h, rep.rho_x, rep.rho_y)
     assert repr(twin) == repr(rep)
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="^Irrep is immutable; cannot set 'rho_y'$"):
         rep.rho_y = rep.rho_x
+    for field in ("n", "rho_h", "rho_x", "rho_y"):
+        with pytest.raises(AttributeError, match=f"^Irrep is immutable; cannot delete '{field}'$"):
+            delattr(rep, field)
 
 
 def test_module_checks_are_memoised_per_module():
@@ -139,7 +143,7 @@ def test_matrix_arithmetic_basics():
     a = EndMatrix(1, [[1, 2], [3, 4]])
     b = EndMatrix(1, [[0, 1], [1, 0]])
     assert a + b - b == a
-    assert (-a) + a == EndMatrix.zero(1)
+    assert ((-a) + a).is_zero()
     assert a * EndMatrix.identity(1) == a
     assert (Fraction(1, 2) * a).rows[0][1] == 1
     assert (a ** 0) == EndMatrix.identity(1)

@@ -365,10 +365,19 @@ def test_polynomials_and_queries_are_immutable_values():
                                 GlobalQuery(4, True, True, True))):
         assert value == same and hash(value) == hash(same) and value != other
         assert eval(repr(value)) == value
-        with pytest.raises(AttributeError):
+        name = type(value).__name__
+        with pytest.raises(AttributeError, match=f"^{name} is immutable; cannot set 'n'$"):
             value.n = 5
+        for field in value.__slots__:
+            with pytest.raises(AttributeError,
+                               match=f"^{name} is immutable; cannot delete '{field}'$"):
+                delattr(value, field)
     assert repr(q) == ("GlobalQuery(n=4, contains_origin=True, contains_n_plus=False, "
                        "contains_n_minus=True)")
+    # equal only to a value of the same type, never to a tuple of its fields
+    assert q != (4, True, False, True) and p != p.lower_coeffs
+    assert CasimirPolynomial((1,)) != GlobalQuery(1, True, True, True)
+    assert hash(q) == hash((4, True, False, True)) and hash(p) == hash(p.lower_coeffs)
 
 
 # -- global classification ----------------------------------------------------
