@@ -212,6 +212,8 @@ def _numcheck_lines(r: dict) -> list[str]:
 
 def _numcheck(args) -> dict:
     if args.kind == "pairing":
+        if args.n is not None:
+            raise ValueError("numcheck --kind pairing takes no --n")
         return oracle.pairing_report(args.grid, args.sigma)
     if args.kind == "invariance":
         return oracle.invariance_report(2 if args.n is None else args.n, args.grid, args.sigma)

@@ -41,6 +41,13 @@ solve_polynomial takes the kernel elements in decreasing j.  An invariant
 distribution is determined by its top coefficients, so every free column
 is a top coordinate, and the unique reduced echelon form is the
 top-echelon basis with no second elimination.
+
+No route here reads the route it certifies.  The certifier table of
+tests/test_structure.py states which route certifies which, and its Tier-1
+rule walks the package's references: kernel_basis and casimir_orbit reach
+neither reference, _kernel_by_elimination and _orbit_by_iteration reach
+neither closed form, and change_of_basis and classify_square_finite_supported
+each reach both routes they compare.
 """
 
 from __future__ import annotations
@@ -320,8 +327,9 @@ def change_of_basis(n: int, K: int) -> tuple[tuple[Fraction, ...], ...]:
     orbit elements): diagonal, entry k the product (n-1)(n-3)...(n-2k+1),
     since the radial Casimir sends kernel element k to (n-2k-1) times
     element k+1.  The orbit here is the iterated one, _orbit_by_iteration,
-    so two independent routes meet: one exact equality per orbit element
-    certifies the matrix, orbit[k] = d_k basis[k] with d_k, its top
+    so two independent routes meet, and the certifier rule of
+    tests/test_structure.py keeps them apart: one exact equality per orbit
+    element certifies the matrix, orbit[k] = d_k basis[k] with d_k, its top
     coefficient a_{n,k}, nonzero; in the top-echelon basis that places d_k
     on the diagonal and 0 off it.  Where the ladder stops after L steps,
     the bound K must be below L, where the orbit runs out."""

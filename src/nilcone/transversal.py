@@ -10,8 +10,8 @@ radial form (3 + rho(H) + 2y d/dy) d/dy + (1/2) rho(Y)^2.
 
 The module action is applied term by term through the ladder formulas:
 rho(X) sends v_i to v_{i+1}, rho(Y) sends v_i to (n-i+1)i v_{i-1}, and
-rho(H) scales v_i by 2i-n.  apply_endo, which multiplies by an sl2.EndMatrix,
-is kept as the reference these formulas are checked against.
+rho(H) scales v_i by 2i-n.  The tests check these formulas against the
+sl2.EndMatrix matrices, applied by a dense reference operator of their own.
 
 Operations never truncate in the delta order k; any cutoff is the caller's
 search bound, not ours.  The public constructor checks outside input.  A
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .sl2 import EndMatrix, _exact
+from .sl2 import _exact
 
 
 _ZERO = Fraction(0)
@@ -131,31 +131,6 @@ def delta_seed(n: int) -> TransversalDist:
 def d_dy(psi: TransversalDist) -> TransversalDist:
     """Derivative in the transversal coordinate: shifts every k up by one."""
     return _built(psi.n, {(i, k + 1): c for (i, k), c in psi.terms.items()})
-
-
-def mul_y(psi: TransversalDist) -> TransversalDist:
-    """Multiplication by y:  y*delta^0 = 0  and  y*delta^k = -k*delta^{k-1}."""
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, k), c in psi.terms.items():
-        if k == 0:
-            continue
-        key = (i, k - 1)
-        out[key] = out.get(key, 0) - k * c
-    return _from_sums(psi.n, out)
-
-
-def apply_endo(endo: EndMatrix, psi: TransversalDist) -> TransversalDist:
-    """Act on the module index by an endomorphism, leaving delta data alone."""
-    if endo.n != psi.n:
-        raise ValueError(f"dimension mismatch: matrix n={endo.n}, distribution n={psi.n}")
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, k), c in psi.terms.items():
-        for j in range(psi.n + 1):
-            e = endo.rows[j][i]
-            if e:
-                key = (j, k)
-                out[key] = out.get(key, Fraction(0)) + e * c
-    return _from_sums(psi.n, out)
 
 
 def _collect(n: int, contributions) -> TransversalDist:

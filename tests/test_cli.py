@@ -1,7 +1,6 @@
 """Command-line contract: parsing, exit codes, stable JSON."""
 
 import argparse
-import ast
 import contextlib
 import io
 import json
@@ -11,7 +10,6 @@ import re
 import shlex
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
@@ -29,6 +27,7 @@ from nilcone.cli import main, parse_poly
 
 CLI_GOLDEN = Path(__file__).parent / "golden" / "cli_reports.json"
 README = Path(__file__).resolve().parents[1] / "README.md"
+CI_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
 
 
 def run(argv):
@@ -246,6 +245,7 @@ def test_exit_one_on_usage_errors():
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.5"],
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.52"],
     ["solve", "--n", "3", "--poly", "t+1/\u0660"],   # a zero denominator in another script
+    ["numcheck", "--kind", "pairing", "--n", "7", "--grid", "128", "--sigma", "1.0"],
 ])
 def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
     _assert_exit_one_with_one_error_line(argv, capsys)
@@ -460,55 +460,6 @@ def test_entry_modules_do_not_load_dataclasses(module):
                           timeout=120, env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-
-
-# Public definitions with no reference in src/nilcone outside their own
-# definition, each with the reason it stays.
-_NO_CALLER = {
-    "cli.main": "CLI entry: the nilcone console script of pyproject.toml",
-    "characters.Character.stretch": "wrapped by name in bench/tracing.py METHODS",
-    "oracle.TestFunction.mul_poly": "wrapped by name in bench/tracing.py METHODS",
-    "oracle.TestFunction.value": "wrapped by name in bench/tracing.py METHODS",
-    "solver.change_of_basis": "called by the local_fresh workload of bench/workloads.py",
-    "transversal.apply_endo": "test reference operator: the ladder formulas meet the matrices",
-    "transversal.mul_y": "test reference operator: y*delta^k = -k*delta^(k-1)",
-    "transversal.radial_mn": "test reference operator: acceptance criterion 7",
-}
-
-
-def _references(node) -> Counter:
-    """What node reads by name: ("name", x) per bare name x, ("attr", x) per
-    attribute access .x."""
-    return Counter(("attr", n.attr) if isinstance(n, ast.Attribute) else ("name", n.id)
-                   for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name)))
-
-
-def test_every_public_definition_has_a_caller():
-    # a module-level function is referenced by name or as an attribute, a
-    # method as an attribute; a reference inside the definition itself does
-    # not count, so dead code fails here instead of waiting for a review
-    src = Path(cli.__file__).resolve().parent
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    everywhere = sum(map(_references, trees.values()), Counter())
-    defined, orphans = set(), set()
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                members = [(node.name, node, ("name", "attr"))]
-            elif isinstance(node, ast.ClassDef):
-                members = [(f"{node.name}.{item.name}", item, ("attr",)) for item in node.body
-                           if isinstance(item, ast.FunctionDef)]
-            else:
-                continue
-            for qualname, item, kinds in members:
-                if any(part.startswith("_") for part in qualname.split(".")):
-                    continue
-                defined.add(f"{module}.{qualname}")
-                inside = _references(item)
-                if all(everywhere[kind, item.name] == inside[kind, item.name] for kind in kinds):
-                    orphans.add(f"{module}.{qualname}")
-    assert orphans <= _NO_CALLER.keys(), sorted(orphans - _NO_CALLER.keys())
-    assert _NO_CALLER.keys() <= defined, sorted(_NO_CALLER.keys() - defined)
 
 
 def test_library_value_errors_exit_one(monkeypatch, capsys):
@@ -775,3 +726,36 @@ def test_frozen_output_covers_every_readme_example():
             if "--format" in argv:
                 del argv[argv.index("--format"):argv.index("--format") + 2]
             assert argv in frozen, line
+
+
+# A line that runs the CLI: an optional `run:` key, VAR=value assignments and
+# a timeout, then `python -m nilcone` and its arguments, up to the first shell
+# operator.
+_CI_COMMAND = re.compile(r"^\s*(?:run:\s+)?(?:\w+=\S*\s+)*(?:timeout \d+\s+)?"
+                         r"python -m nilcone\s+(.*)$")
+
+
+def _ci_commands():
+    for line in CI_WORKFLOW.read_text().splitlines():
+        match = _CI_COMMAND.match(line)
+        if match:
+            lexer = shlex.shlex(match.group(1), posix=True, punctuation_chars=True)
+            lexer.whitespace_split = True
+            tokens = list(lexer)
+            operator = next((k for k, t in enumerate(tokens) if set(t) <= set("|&;<>")), None)
+            yield line, tokens[:operator]
+
+
+def test_ci_commands_name_real_commands_and_options():
+    # a renamed command or flag fails here instead of in CI; a line whose
+    # command is a shell variable (the JSON renderer step's $argv) is skipped
+    commands = cli._parsers()[1]
+    checked = set()
+    for line, argv in _ci_commands():
+        if argv[0].startswith("$"):
+            continue
+        assert argv[0] in commands, line
+        options = commands[argv[0]]._option_string_actions
+        assert all(t in options for t in argv if t.startswith("--")), line
+        checked.add(argv[0])
+    assert checked == set(commands)

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcone.sl2 import EndMatrix, make_irrep
-from nilcone.transversal import (TransversalDist, apply_endo, d_dy, delta_seed,
-                                 equivariance_defect, mul_y, radial_casimir,
-                                 radial_mn)
+from nilcone.transversal import (TransversalDist, d_dy, delta_seed, equivariance_defect,
+                                 radial_casimir, radial_mn)
 from nilcone.solver import _equivariance_rows, kernel_basis
 
 
@@ -34,28 +33,6 @@ def test_d_dy_examples():
     assert d_dy(d_dy(d_dy(psi))) == TransversalDist(1, {(1, 5): 5})
 
 
-def test_mul_y_examples():
-    assert not mul_y(TransversalDist(0, {(0, 0): 1}))
-    assert mul_y(TransversalDist(0, {(0, 1): 1})) == TransversalDist(0, {(0, 0): -1})
-    assert mul_y(TransversalDist(2, {(2, 3): 2})) == TransversalDist(2, {(2, 2): -6})
-
-
-def test_apply_endo_examples():
-    psi = TransversalDist(2, {(2, 1): 3, (0, 0): -1})
-    assert apply_endo(EndMatrix.identity(2), psi) == psi
-    for n in range(1, 5):
-        rep = make_irrep(n)
-        assert not apply_endo(rep.rho_x, TransversalDist(n, {(n, 0): 1}))
-    rep1 = make_irrep(1)
-    assert apply_endo(rep1.rho_y, TransversalDist(1, {(1, 0): 1})) == \
-        TransversalDist(1, {(0, 0): 1})
-
-
-def test_apply_endo_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply_endo(EndMatrix.identity(2), TransversalDist(1, {(1, 0): 1}))
-
-
 def test_equivariance_defect_examples():
     assert equivariance_defect(TransversalDist(1, {(0, 0): 1})) == \
         TransversalDist(1, {(1, 0): 1})
@@ -70,12 +47,6 @@ def test_equivariance_defect_is_linear(psi, phi, c):
     lhs = equivariance_defect(psi + c * phi)
     rhs = equivariance_defect(psi) + c * equivariance_defect(phi)
     assert lhs == rhs
-
-
-@settings(max_examples=60, deadline=None)
-@given(dist_strategy(2))
-def test_mul_y_d_dy_commutator_is_minus_identity(psi):
-    assert mul_y(d_dy(psi)) - d_dy(mul_y(psi)) == (-1) * psi
 
 
 def test_radial_casimir_base_case():
@@ -180,7 +151,57 @@ def test_serialization_renders_fraction_strings():
 # -- the ladder formulas against their dense-matrix definitions ------------------
 #
 # transversal applies the module action through the ladder formulas; the
-# references below apply it as sl2.make_irrep matrices through apply_endo.
+# references below apply it as sl2.make_irrep matrices through apply_endo,
+# and multiply by y through mul_y.  Both are reference operators only.
+
+
+def mul_y(psi: TransversalDist) -> TransversalDist:
+    """Multiplication by y:  y*delta^0 = 0  and  y*delta^k = -k*delta^{k-1}."""
+    out = {}
+    for (i, k), c in psi.terms.items():
+        if k:
+            out[(i, k - 1)] = out.get((i, k - 1), 0) - k * c
+    return TransversalDist(psi.n, out)
+
+
+def apply_endo(endo: EndMatrix, psi: TransversalDist) -> TransversalDist:
+    """Act on the module index by an endomorphism, leaving delta data alone."""
+    if endo.n != psi.n:
+        raise ValueError(f"dimension mismatch: matrix n={endo.n}, distribution n={psi.n}")
+    out = {}
+    for (i, k), c in psi.terms.items():
+        for j in range(psi.n + 1):
+            if endo.rows[j][i]:
+                out[(j, k)] = out.get((j, k), 0) + endo.rows[j][i] * c
+    return TransversalDist(psi.n, out)
+
+
+def test_mul_y_examples():
+    assert not mul_y(TransversalDist(0, {(0, 0): 1}))
+    assert mul_y(TransversalDist(0, {(0, 1): 1})) == TransversalDist(0, {(0, 0): -1})
+    assert mul_y(TransversalDist(2, {(2, 3): 2})) == TransversalDist(2, {(2, 2): -6})
+
+
+def test_apply_endo_examples():
+    psi = TransversalDist(2, {(2, 1): 3, (0, 0): -1})
+    assert apply_endo(EndMatrix.identity(2), psi) == psi
+    for n in range(1, 5):
+        rep = make_irrep(n)
+        assert not apply_endo(rep.rho_x, TransversalDist(n, {(n, 0): 1}))
+    rep1 = make_irrep(1)
+    assert apply_endo(rep1.rho_y, TransversalDist(1, {(1, 0): 1})) == \
+        TransversalDist(1, {(0, 0): 1})
+
+
+def test_apply_endo_dimension_mismatch():
+    with pytest.raises(ValueError):
+        apply_endo(EndMatrix.identity(2), TransversalDist(1, {(1, 0): 1}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dist_strategy(2))
+def test_mul_y_d_dy_commutator_is_minus_identity(psi):
+    assert mul_y(d_dy(psi)) - d_dy(mul_y(psi)) == (-1) * psi
 
 
 def dense_defect(psi):
