@@ -7,13 +7,23 @@ floating point through quadrature against the parametrized cone measure.
 Each name is imported from the module that defines it (``nilcone.sl2``,
 ``nilcone.characters``, ``nilcone.transversal``, ``nilcone.solver``,
 ``nilcone.oracle``, ``nilcone.cli``); the package root holds only
-``__version__`` and Value, the base of the immutable values, so importing
-one module loads only what that module uses.
+``__version__``, Value, the base of the immutable values, and _exact, the
+int-or-Fraction form that sl2 and transversal store, so importing one
+module loads only what that module uses.
 """
 
+from fractions import Fraction
 from operator import attrgetter
 
 __version__ = "0.1.0"
+
+
+def _exact(value):
+    """value as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class Value:

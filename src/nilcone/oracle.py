@@ -606,9 +606,14 @@ SIGMA_WINDOW = (1e-3, 1e3)  # accepted widths; far outside, sigma^2 under- or ov
 
 def _tail_gate(func: TestFunction, quad: QuadratureGrid, sigma: float, tol: float):
     """(base, tail): the plain pairing of func on quad and its tail bound;
-    a width whose tail bound is not below tol times the pairing is rejected."""
+    a width whose tail bound is not below tol times the pairing is rejected.
+    When both are 0, nothing lies outside the square and the grid's nodes
+    miss the Gaussian: the grid is too coarse, not the width too small."""
     base = pair_delta_nplus(func, quad)
     tail = tail_bound(func, quad)
+    if not base and not tail:
+        raise ValueError(f"the pairing is 0 on the {quad.m} x {quad.m} grid at sigma={sigma:g}: "
+                         f"its nodes miss the Gaussian; use a finer grid")
     if not tail < tol * abs(base):
         raise ValueError(f"the tail bound {tail:.3e} at sigma={sigma:g} is not below "
                          f"{tol:g} times the pairing {base:.3e}; use a larger sigma")

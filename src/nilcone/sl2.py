@@ -23,15 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import Value
-
-
-def _exact(value):
-    """value as an int when it is integral, else as a Fraction."""
-    if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+from . import Value, _exact
 
 
 class EndMatrix:

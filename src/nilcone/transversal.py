@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .sl2 import _exact
+from . import _exact
 
 
 _ZERO = Fraction(0)
@@ -128,11 +128,6 @@ def delta_seed(n: int) -> TransversalDist:
     return TransversalDist(n, {(n, 0): 1})
 
 
-def d_dy(psi: TransversalDist) -> TransversalDist:
-    """Derivative in the transversal coordinate: shifts every k up by one."""
-    return _built(psi.n, {(i, k + 1): c for (i, k), c in psi.terms.items()})
-
-
 def _collect(n: int, contributions) -> TransversalDist:
     """Sum (key, coefficient) contributions into a distribution."""
     out: dict[tuple[int, int], Fraction] = {}
@@ -179,27 +174,3 @@ def radial_casimir(psi: TransversalDist) -> TransversalDist:
             key = (i - 2, k)
             out[key] = get(key, 0) + (n - i + 1) * i * (n - i + 2) * (i - 1) // 2 * c
     return _from_sums(n, out)
-
-
-def radial_mn(psi: TransversalDist) -> TransversalDist:
-    """Radial form of the mixed equivariant operator
-    rho(X) (d/dY) + rho(Y) (d/dX) + (1/2) rho(H) (d/dH) on the transversal:
-
-        (rho(X) + y*rho(Y)) d/dy + rho(Y).
-
-    The reduction substitutes the invariance relations for the flow
-    derivatives, so it is only valid on locally invariant input; anything
-    with a nonzero equivariance defect is rejected.
-
-    Since [d/dy, y] = 1,
-
-        (rho(X) + y*rho(Y)) d/dy + rho(Y) = d/dy (rho(X) + y*rho(Y)),
-
-    so the operator is d/dy of the equivariance defect.  On every input it
-    accepts it returns zero, and acceptance criterion 7 (radial_mn
-    preserves invariance) holds trivially.
-    """
-    defect = equivariance_defect(psi)
-    if defect:
-        raise ValueError("radial_mn requires a locally invariant distribution")
-    return d_dy(defect)

