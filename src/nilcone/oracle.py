@@ -26,7 +26,10 @@ at half weight, gives M = (1 + (-1)^(p+q)) U, because the lower rows add
 (-1)^(p+q) times the upper ones.  Every odd moment is thus exactly
 0 * U = 0.0, which is how the odd-section obstruction cancels in floating
 point, and the same U gives its negative control, the moments of sign(a),
-as ((-1)^(p+q) - 1) U, since the upper rows are the rows a < 0.
+as ((-1)^(p+q) - 1) U, since the upper rows are the rows a < 0.  At
+h-centre 0, which every Gaussian of the batteries has, moment_map(a, -b)
+is (-h, x, y) bit for bit, so E[i, m-1-j] = E[i, j] as well, and the exp
+runs on the upper-left quarter of E only, the other columns its mirror.
 _components reads each pairing component from U with its parity factor,
 handling the polynomial part of the test function, the lead factor and
 the monomial of each component in exponent space.  Only the
@@ -36,14 +39,17 @@ is an immutable value that carries its float form, computed once when it
 is built: the key (float centre, float squared width) of its Gaussian,
 its float terms and its degree, which is all the quadrature reads.  A
 battery computes each piece once: bounded, read-only memos hold E per
-Gaussian key and grid, U per key, grid and degree, the weighted monomials
-of each degree, |f| on the upper rows per (f, grid), and the flow
-derivatives along H, X and Y per f, all three from one set of partials
-(lie_derivative).  Widths and centres that round to the same floats share
-one Gaussian entry, and no Fraction is hashed per lookup.  Floats are
-confined to this module; nothing numeric flows back into the symbolic
-side.  A QuadratureGrid is validated and builds its rule once; its nodes
-are two broadcast axis factors, and the weights enter only through V.
+Gaussian key and grid, U per key, grid and degree, one weighted power
+table per grid and 16-column block, of which every V is a slice
+(_vandermonde), the weighted monomials of each degree, |f| on the upper
+rows per (f, grid), and the flow derivatives along H, X and Y per f, all
+three from one set of partial polynomials (_partial_poly), so that a miss
+builds no test function but the three flows (lie_derivative).  Widths and
+centres that round to the same floats share one Gaussian entry, and no
+Fraction is hashed per lookup.  Floats are confined to this module;
+nothing numeric flows back into the symbolic side.  A QuadratureGrid is
+validated and builds its rule once; its nodes are two broadcast axis
+factors, and the weights enter only through V.
 The adjoint action of sl(2) is stated once, in _FLOWS: the terms
 (i, j, c) of Z give the flow derivative L_Z = sum of c xi_j d/dxi_i
 (lie_derivative) and ad(Z) e_j = -c e_i (_ad_matrix), and a Tier-1 test
@@ -217,14 +223,7 @@ class TestFunction(Value):
 
     def diff(self, axis: int) -> "TestFunction":
         """Exact partial derivative along coordinate axis 0=h, 1=x, 2=y."""
-        shift = [0, 0, 0]
-        shift[axis] = 1
-        lin = {tuple(shift): Fraction(-2) / self.sigma2,
-               (0, 0, 0): 2 * self.center[axis] / self.sigma2}
-        poly = _diff_poly(self.poly, axis)
-        for key, c in _mul_polys(self.poly, lin).items():
-            poly[key] = poly.get(key, Fraction(0)) + c
-        return TestFunction(poly, self.center, self.sigma2)
+        return TestFunction(_partial_poly(self, axis), self.center, self.sigma2)
 
     def mul_poly(self, poly) -> "TestFunction":
         return TestFunction(_mul_polys(self.poly, {tuple(e): Fraction(c) for e, c in poly.items()}),
@@ -250,6 +249,20 @@ class TestFunction(Value):
     __mul__ = __rmul__
 
 
+def _partial_poly(f: TestFunction, axis: int) -> dict:
+    """The polynomial part of f.diff(axis), without zero coefficients, in
+    the order TestFunction keeps: the one statement of the derivative rule
+    d/dxi (p g) = (dp/dxi + p 2 (c_xi - xi) / sigma^2) g, g the Gaussian."""
+    shift = [0, 0, 0]
+    shift[axis] = 1
+    lin = {tuple(shift): Fraction(-2) / f.sigma2,
+           (0, 0, 0): 2 * f.center[axis] / f.sigma2}
+    poly = _diff_poly(f.poly, axis)
+    for key, c in _mul_polys(f.poly, lin).items():
+        poly[key] = poly.get(key, Fraction(0)) + c
+    return {key: c for key, c in poly.items() if c}
+
+
 _FLOWS = {"H": ((1, 1, -2), (2, 2, 2)),
           "X": ((1, 0, 2), (0, 2, -1)),
           "Y": ((0, 1, 1), (2, 0, -2))}
@@ -273,14 +286,16 @@ def lie_derivative(z_label: str, f: TestFunction) -> TestFunction:
 
 @functools.lru_cache(maxsize=8)
 def _lie_flows(f: TestFunction) -> MappingProxyType:
-    """L_Z f for Z = H, X and Y, read-only, from the three partials of f
-    taken once.  The bound holds the test functions of a battery."""
-    partials = [f.diff(axis) for axis in range(3)]
+    """L_Z f for Z = H, X and Y, read-only, from the polynomials of the three
+    partials of f taken once (_partial_poly): the only test functions a miss
+    builds are the three flows.  The bound holds the test functions of a
+    battery."""
+    partials = [_partial_poly(f, axis) for axis in range(3)]
     flows = {}
     for z_label, flow in _FLOWS.items():
         poly = {}
         for i, j, c in flow:
-            for expo, v in partials[i].poly.items():
+            for expo, v in partials[i].items():
                 key = tuple(e + (axis == j) for axis, e in enumerate(expo))
                 poly[key] = poly.get(key, 0) + c * v
         flows[z_label] = TestFunction(poly, f.center, f.sigma2)
@@ -336,13 +351,30 @@ def _gauss_legendre(m: int):
     return x, w
 
 
+@functools.lru_cache(maxsize=8)
+def _power_table(grid: QuadratureGrid, width: int):
+    """w_i (x_i / 2^k)^p for p < width, read-only.  np.vander multiplies
+    each column from the one before it, so column p does not depend on the
+    width, and every narrower table is a slice of this one.  Built on the
+    first call that needs it, not with the grid.  The benchmark's battery
+    reads tops 0 to 8 (2 (d + 2) for the degree-2 flows of its invariance
+    residuals), one 16-column block on each of its 7 grids, which the bound
+    holds; the command line's batteries need no more."""
+    table = grid.w[:, None] * np.vander(np.ldexp(grid.x, -grid.k), width, increasing=True)
+    table.flags.writeable = False
+    return table
+
+
 def _vandermonde(grid: QuadratureGrid, top: int):
     """(half, V): the weighted 1-d Vandermonde factor
     V[i, p] = w_i (x_i / 2^k)^p, p <= top, on the grid's nodes x_i and
     weights w_i, and its upper ceil(m/2) rows, the middle row of an odd grid
     at half weight: that row is its own mirror, so the lower half counts it
-    again.  No power exceeds 1 in size (QuadratureGrid.k); unscaling is exact."""
-    v = grid.w[:, None] * np.vander(np.ldexp(grid.x, -grid.k), top + 1, increasing=True)
+    again.  No power exceeds 1 in size (QuadratureGrid.k); unscaling is exact.
+    V is a contiguous copy of the first top + 1 columns of _power_table,
+    whose width is top + 1 rounded up to a multiple of 16: a matmul on the
+    strided slice itself may sum in another order."""
+    v = np.ascontiguousarray(_power_table(grid, 16 * (top // 16 + 1))[:, :top + 1])
     half = v[:grid.upper]
     if grid.m % 2:
         half = half.copy()
@@ -357,10 +389,20 @@ def _node_envelope(key: tuple, grid: QuadratureGrid):
     nodes are exactly negation-symmetric and moment_map(-a, -b) is
     moment_map(a, b) bit for bit, so E[m-1-i, m-1-j] = E[i, j] exactly: the
     rows kept determine E, every contraction reads only them
-    (_plane_moments), and the exp runs on half of E.  The bound holds the
-    distinct (Gaussian, grid) pairs of a battery."""
+    (_plane_moments), and the exp runs on half of E.  At h-centre 0 the exp
+    runs on a quarter: moment_map(a, -b) is (-h, x, y) bit for bit and
+    (h - 0.0)^2 = (-h - 0.0)^2, so E[i, m-1-j] = E[i, j], and the columns
+    right of the first ceil(m/2) are the mirror images of those left of the
+    middle.  The bound holds the distinct (Gaussian, grid) pairs of a
+    battery."""
     a, b = grid.nodes()
-    e = _gaussian(*key, *moment_map(a[:grid.upper], b))
+    c = grid.upper
+    if key[0][0] == 0.0:
+        e = np.empty((c, grid.m))
+        e[:, :c] = _gaussian(*key, *moment_map(a[:c], b[:, :c]))
+        e[:, c:] = e[:, :grid.m - c][:, ::-1]
+    else:
+        e = _gaussian(*key, *moment_map(a[:c], b))
     e.flags.writeable = False
     return e
 

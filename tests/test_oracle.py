@@ -1,6 +1,8 @@
 """Floating-point oracle: closed forms, quadrature behavior, parity cancellation."""
 
+import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -13,8 +15,8 @@ from nilcone import oracle
 from nilcone.oracle import (CONTROL_MIN, ROUNDOFF, SIGMA_WINDOW, QuadratureGrid, TestFunction,
                             _FLOWS, _abs_upper_values, _ad_matrix, _components,
                             _gauss_legendre, _lie_flows, _monomials, _multinomial,
-                            _node_envelope, _plane_moments, _weighted_monomials,
-                            invariance_report,
+                            _node_envelope, _plane_moments, _power_table, _vandermonde,
+                            _weighted_monomials, invariance_report,
                             invariance_residual, lie_derivative, moment_map,
                             obstruction_report, odd_section_obstruction, odd_section_scale,
                             pair_delta_nplus, seed_pairing, tail_bound)
@@ -182,7 +184,7 @@ def test_cached_rule_and_ad_matrices_are_read_only():
     f = TestFunction.gaussian(center=(0, 1, 0), sigma=0.5)
     grid = QuadratureGrid(2.5, 12, "gauss")
     for arr in (*_gauss_legendre(12), *(_ad_matrix(z, 2) for z in "HXY"),
-                _node_envelope(f.key, grid), _abs_upper_values(f, grid)):
+                _node_envelope(f.key, grid), _abs_upper_values(f, grid), _power_table(grid, 16)):
         with pytest.raises(ValueError):
             arr[...] = 0.0
     for table in (_plane_moments(f.key, grid, 5)[0], _weighted_monomials(2)):
@@ -194,23 +196,84 @@ def test_cached_rule_and_ad_matrices_are_read_only():
 
 def test_node_envelope_is_the_envelope_at_the_node_images():
     # the stored upper ceil(m/2) rows, against TestFunction.envelope and
-    # against the plain expression the in-place buffer replaces, bit for bit;
-    # the centre scales with the width so that E is not 0.0 on every node
-    for sigma in (SIGMA_WINDOW[0], 0.75, SIGMA_WINDOW[1]):
+    # against the plain expression the in-place buffer replaces, bit for bit,
+    # off h-centre 0 and at it, where the exp runs on a quarter and the other
+    # columns are its mirror; the centre scales with the width so that E is
+    # not 0.0 on every node
+    for sigma, h_centre in itertools.product((SIGMA_WINDOW[0], 0.75, SIGMA_WINDOW[1]),
+                                             (Fraction(1, 3), 0)):
         f = TestFunction.gaussian(
-            center=[Fraction(sigma) * t for t in (Fraction(1, 3), 2, Fraction(-1, 2))],
+            center=[Fraction(sigma) * t for t in (h_centre, 2, Fraction(-1, 2))],
             sigma=sigma)
         ch, cx, cy = (float(t) for t in f.center)
         for rule in ("midpoint", "gauss"):
             for m in (11, 12):
                 grid = QuadratureGrid(6.0 * sigma, m, rule)
                 h, x, y = moment_map(*grid.nodes())
+                _node_envelope.cache_clear()
                 got = _node_envelope(f.key, grid)
                 plain = np.exp(((h - ch) ** 2 + (x - cx) ** 2 + (y - cy) ** 2) / -float(f.sigma2))
                 c = (m + 1) // 2
                 assert got.shape == (c, m)
-                assert np.array_equal(got, f.envelope(h, x, y)[:c]), (sigma, rule, m)
-                assert np.array_equal(got, plain[:c]), (sigma, rule, m)
+                assert np.array_equal(got, f.envelope(h, x, y)[:c]), (sigma, h_centre, rule, m)
+                assert got.tobytes() == plain[:c].tobytes(), (sigma, h_centre, rule, m)
+
+
+def test_vandermonde_slices_one_power_table_per_grid_and_block():
+    # (half, V) against the direct np.vander formula, byte for byte, across
+    # the block edges 15/16 and 63/64; V is a contiguous copy, as the matmul
+    # that reads it needs.  A grid builds no table, and the tops of one block
+    # share one
+    for rule, m, radius in itertools.product(("midpoint", "gauss"), (7, 8, 33),
+                                             (0.006, 4.5, 6000.0)):
+        _power_table.cache_clear()
+        grid = QuadratureGrid(radius, m, rule)
+        assert _power_table.cache_info().currsize == 0
+        for top in (0, 7, 8, 15, 16, 17, 63, 64):
+            half, v = _vandermonde(grid, top)
+            want = grid.w[:, None] * np.vander(np.ldexp(grid.x, -grid.k), top + 1,
+                                               increasing=True)
+            assert v.flags.c_contiguous and v.tobytes() == want.tobytes(), (rule, m, radius, top)
+            want_half = want[:grid.upper].copy()
+            if m % 2:
+                want_half[-1] *= 0.5
+            assert half.tobytes() == want_half.tobytes(), (rule, m, radius, top)
+        assert _power_table.cache_info().currsize == 4      # widths 16, 32, 64 and 80
+
+
+def test_a_battery_builds_each_power_table_once():
+    # the quadrature benchmark's battery, shuffled: the flows of its
+    # Gaussians have degree 2, so its invariance residuals at n = 4 read tops
+    # up to 2 (2 + 2) = 8, one 16-column block serves each of its 7 grids,
+    # and the bound keeps every table
+    sigma = 0.8
+    shifted = TestFunction.gaussian(center=(0, 3, 0), sigma=sigma)
+    near = TestFunction.gaussian(center=(0, 1, 0), sigma=sigma)
+    centred = TestFunction.gaussian(center=(0, 0, 0), sigma=sigma)
+    calls = []
+    for n, m in itertools.product((2, 4), (32, 64, 96, 128)):
+        grid = QuadratureGrid(6 * sigma, m)
+        calls.append(lambda n=n, g=grid: seed_pairing(n, shifted, g))
+        calls += [lambda n=n, z=z, g=grid: invariance_residual(n, z, shifted, g) for z in "HXY"]
+    for n, m in itertools.product((1, 3, 5), (64, 128)):
+        grid = QuadratureGrid(6 * sigma, m)
+        calls += [lambda n=n, g=grid: odd_section_scale(n, near, g),
+                  lambda n=n, g=grid: odd_section_obstruction(n, near, g),
+                  lambda n=n, g=grid: odd_section_obstruction(n, near, g, negative_control=True)]
+    for m in (128, 192):
+        mid = QuadratureGrid(6 * sigma, m, "midpoint")
+        gauss = QuadratureGrid(6 * sigma, m * 3 // 4, "gauss")
+        calls += [lambda g=mid: pair_delta_nplus(centred, g),
+                  lambda g=mid: pair_delta_nplus(near.casimir(), g),
+                  lambda g=gauss: pair_delta_nplus(near.casimir(), g),
+                  lambda g=mid: tail_bound(centred, g)]
+    random.Random(0).shuffle(calls)
+    _plane_moments.cache_clear()
+    _power_table.cache_clear()
+    for call in calls:
+        call()
+    info = _power_table.cache_info()
+    assert info.misses == info.currsize == 7
 
 
 def _lie_derivative_by_three_partials(z_label, f):
@@ -280,6 +343,23 @@ def test_lie_derivative_memo_shares_one_read_only_flow_per_value():
     with pytest.raises(ValueError, match="unknown direction 'Q'"):
         lie_derivative("Q", build())
     assert _lie_flows.cache_info().hits == hits + 1       # rejected before the memo
+
+
+def test_a_lie_flows_miss_builds_only_the_three_flows(monkeypatch):
+    # the partials enter as polynomials (_partial_poly), not as test functions
+    f = TestFunction.gaussian(center=(Fraction(1, 3), 1, Fraction(-1, 2)), sigma=0.8,
+                              poly={(1, 0, 0): 2, (0, 1, 1): -1, (0, 0, 0): 1})
+    built = []
+    init = TestFunction.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(TestFunction, "__init__", counting)
+    _lie_flows.cache_clear()
+    flows = _lie_flows(f)
+    assert len(built) == 3 and all(t is flows[z] for t, z in zip(built, "HXY"))
 
 
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nilcone.solver as solver
+from nilcone import cli
 from nilcone.solver import (CasimirPolynomial, GlobalQuery, _kernel_by_elimination,
                             _nullspace, _orbit_by_iteration, casimir_orbit,
                             change_of_basis, classify_global,
@@ -151,6 +152,20 @@ def test_kernel_elements_are_invariant_and_echelonized():
             assert not equivariance_defect(psi)
             for jp in range(len(basis)):
                 assert psi.coefficient(n, jp) == (1 if jp == j else 0)
+
+
+def test_kernel_basis_rejects_a_chain_with_a_nonzero_defect(monkeypatch, capsys):
+    # the zero-defect check is what stands between a wrong chain and a
+    # reported kernel: a defect that reads nonzero is an internal
+    # contradiction, exit code 2 with one line on stderr
+    monkeypatch.setattr(solver, "equivariance_defect", lambda psi: psi)
+    with pytest.raises(ArithmeticError, match="left the invariant kernel"):
+        kernel_basis(4, 3)
+    capsys.readouterr()
+    assert cli.main(["kernel", "--n", "4", "--max-order", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert not out and len(err.splitlines()) == 1
+    assert err.startswith("internal contradiction: ")
 
 
 def test_solutions_are_invariant_and_echelonized():
@@ -448,6 +463,12 @@ def test_square_finite_supported_rejects_a_local_solution(monkeypatch):
 
 
 def test_square_finite_supported_rejects_a_short_kernel(monkeypatch):
+    # a chain kernel cut short from delta order `lowest` on is caught, also
+    # when it goes wrong only from 6 on: the kernels are compared at
+    # _CERTIFY_ORDER, 6, not at order 0 alone
     original = solver.kernel_basis
-    monkeypatch.setattr(solver, "kernel_basis", lambda n, K: original(n, K)[:-1])
-    assert not classify_square_finite_supported.__wrapped__(GlobalQuery(2, False, True, False))
+    for lowest in (0, 6):
+        monkeypatch.setattr(solver, "kernel_basis", lambda n, K, lowest=lowest:
+                            original(n, K)[:-1] if K >= lowest else original(n, K))
+        assert not classify_square_finite_supported.__wrapped__(
+            GlobalQuery(2, False, True, False)), lowest
