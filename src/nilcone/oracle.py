@@ -34,20 +34,24 @@ _components reads each pairing component from U with its parity factor,
 handling the polynomial part of the test function, the lead factor and
 the monomial of each component in exponent space.  Only the
 absolute-value scale pairs |f|, which is not polynomial times Gaussian,
-and contracts that one array over the upper rows instead.  A TestFunction
-is an immutable value that carries its float form, computed once when it
-is built: the key (float centre, float squared width) of its Gaussian,
-its float terms and its degree, which is all the quadrature reads.  A
-battery computes each piece once: bounded, read-only memos hold E per
-Gaussian key and grid, U per key, grid and degree, one weighted power
-table per grid and 16-column block, of which every V is a slice
-(_vandermonde), the weighted monomials of each degree, |f| on the upper
-rows per (f, grid), and the flow derivatives along H, X and Y per f, all
-three from one set of partial polynomials (_partial_poly), so that a miss
-builds no test function but the three flows (lie_derivative).  Widths and
-centres that round to the same floats share one Gaussian entry, and no
-Fraction is hashed per lookup.  Floats are confined to this module;
-nothing numeric flows back into the symbolic side.  A QuadratureGrid is
+and contracts that one array over the upper rows instead: E itself when
+the polynomial part is 1, as in every battery.  A TestFunction is an
+immutable value that carries its float form, computed once when it is
+built: the key (float centre, float squared width) of its Gaussian, its
+float terms and its degree, which is all the quadrature reads.  A battery
+computes each piece once: read-only memos hold E per Gaussian key and
+grid, U per key, grid and degree, one weighted power table per grid and
+16-column block, of which every V is a slice (_vandermonde), the weighted
+monomials of each degree, and the flow derivatives along H, X and Y per
+f, all three from one set of partial polynomials (_partial_poly), so that
+a miss builds no test function but the three flows (lie_derivative).
+Each memo is bounded, and test_every_memo_builds_each_entry_once checks
+every bound against the traffic it serves: from every memo cleared, one
+round of each benchmark workload and each numcheck battery at its caps
+builds no entry twice.  Widths and centres that round to the same floats
+share one Gaussian entry, and no Fraction is hashed per lookup.  Floats
+are confined to this module; nothing numeric flows back into the
+symbolic side.  A QuadratureGrid is
 validated and builds its rule once; its nodes are two broadcast axis
 factors, and the weights enter only through V.
 The adjoint action of sl(2) is stated once, in _FLOWS: the terms
@@ -288,8 +292,7 @@ def lie_derivative(z_label: str, f: TestFunction) -> TestFunction:
 def _lie_flows(f: TestFunction) -> MappingProxyType:
     """L_Z f for Z = H, X and Y, read-only, from the polynomials of the three
     partials of f taken once (_partial_poly): the only test functions a miss
-    builds are the three flows.  The bound holds the test functions of a
-    battery."""
+    builds are the three flows."""
     partials = [_partial_poly(f, axis) for axis in range(3)]
     flows = {}
     for z_label, flow in _FLOWS.items():
@@ -356,10 +359,7 @@ def _power_table(grid: QuadratureGrid, width: int):
     """w_i (x_i / 2^k)^p for p < width, read-only.  np.vander multiplies
     each column from the one before it, so column p does not depend on the
     width, and every narrower table is a slice of this one.  Built on the
-    first call that needs it, not with the grid.  The benchmark's battery
-    reads tops 0 to 8 (2 (d + 2) for the degree-2 flows of its invariance
-    residuals), one 16-column block on each of its 7 grids, which the bound
-    holds; the command line's batteries need no more."""
+    first call that needs it, not with the grid."""
     table = grid.w[:, None] * np.vander(np.ldexp(grid.x, -grid.k), width, increasing=True)
     table.flags.writeable = False
     return table
@@ -382,7 +382,7 @@ def _vandermonde(grid: QuadratureGrid, top: int):
     return half, v
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=16)
 def _node_envelope(key: tuple, grid: QuadratureGrid):
     """The upper ceil(m/2) rows of E, the Gaussian factor of the given key
     (TestFunction.key) at the image of every node of grid, read-only.  The
@@ -393,8 +393,7 @@ def _node_envelope(key: tuple, grid: QuadratureGrid):
     runs on a quarter: moment_map(a, -b) is (-h, x, y) bit for bit and
     (h - 0.0)^2 = (-h - 0.0)^2, so E[i, m-1-j] = E[i, j], and the columns
     right of the first ceil(m/2) are the mirror images of those left of the
-    middle.  The bound holds the distinct (Gaussian, grid) pairs of a
-    battery."""
+    middle."""
     a, b = grid.nodes()
     c = grid.upper
     if key[0][0] == 0.0:
@@ -462,8 +461,7 @@ def _multinomial(m: int, i: int, j: int, k: int) -> int:
 @functools.lru_cache(maxsize=8)
 def _weighted_monomials(degree: int) -> tuple:
     """((al, be, ga), 2 * multinomial) for each degree-d monomial in
-    _monomials order, the weight a float, as _components reads them.  The
-    bound holds the degrees of a battery."""
+    _monomials order, the weight a float, as _components reads them."""
     return tuple(((al, be, ga), 2.0 * _multinomial(degree, al, be, ga))
                  for al, be, ga in _monomials(degree))
 
@@ -502,24 +500,22 @@ _ONE = ((0, 0, 0, 1.0),)    # the float terms of the constant polynomial 1
 
 @functools.lru_cache(maxsize=64)
 def _plane_moments(key: tuple, grid: QuadratureGrid, top: int):
-    """(U, k) with U[p][q] = sum_ij half_ip E_ij V_jq for p, q <= top, E the
-    upper ceil(m/2) rows of the Gaussian factor of the given key
-    (_node_envelope) and (half, V, k) from _vandermonde, as an
-    immutable tuple of rows.  The lower rows add (-1)^(p+q) U, so the
-    moments over the whole plane are (1 + (-1)^(p+q)) U (_PLANE).  The bound
-    holds the distinct (Gaussian, grid, top) keys of a battery."""
+    """U[p][q] = sum_ij half_ip E_ij V_jq for p, q <= top, E the upper
+    ceil(m/2) rows of the Gaussian factor of the given key (_node_envelope)
+    and (half, V) from _vandermonde, as an immutable tuple of rows.  The
+    lower rows add (-1)^(p+q) U, so the moments over the whole plane are
+    (1 + (-1)^(p+q)) U (_PLANE)."""
     half, v = _vandermonde(grid, top)
-    u = half.T @ _node_envelope(key, grid) @ v
-    return tuple(map(tuple, u.tolist())), grid.k
+    return tuple(map(tuple, (half.T @ _node_envelope(key, grid) @ v).tolist()))
 
 
 def _components(moments, k: int, degree: int, terms, lead=(0, 0), parity=_PLANE) -> list:
     """Pairing components, one per degree-d monomial in _monomials order: the
     multinomial times 2 * the integral of lead * monomial * the polynomial of
-    float terms (i, j, l, c) (TestFunction.terms) against the
-    Gaussian whose half-plane contraction (U, k) is given, with
-    lead = a^dp b^dq, entry (p, q) of U read as a moment over the whole
-    plane by the factor parity[(p + q) % 2].  Under the moment map
+    float terms (i, j, l, c) (TestFunction.terms) against the Gaussian
+    whose half-plane contraction U on a grid of scale 2^k (QuadratureGrid.k)
+    is given, with lead = a^dp b^dq, entry (p, q) of U read as a moment over
+    the whole plane by the factor parity[(p + q) % 2].  Under the moment map
     h^i x^j y^l is (-1)^(i+l) 2^-(i+j+l) a^(i+2j) b^(i+2l), so each component
     is a short sum over entries of U, rescaled by exact powers of two; only
     the entries read are rescaled, so none overflows."""
@@ -555,8 +551,8 @@ def seed_pairing(n: int, f: TestFunction, grid: QuadratureGrid) -> np.ndarray:
     if n < 0 or n % 2:
         raise ValueError(f"the seeded pairing requires an even n >= 0, got n={n}")
     d = n // 2
-    moments, k = _plane_moments(f.key, grid, 2 * (d + f.degree))
-    return np.array(_components(moments, k, d, f.terms))
+    moments = _plane_moments(f.key, grid, 2 * (d + f.degree))
+    return np.array(_components(moments, grid.k, d, f.terms))
 
 
 def invariance_residual(n: int, z_label: str, f: TestFunction,
@@ -574,9 +570,9 @@ def invariance_residual(n: int, z_label: str, f: TestFunction,
         raise ValueError(f"n={n} rejected: the equivariant seed only exists for even n >= 0")
     flow = lie_derivative(z_label, f)
     d = n // 2
-    moments, k = _plane_moments(f.key, grid, 2 * (d + max(f.degree, flow.degree)))
-    p_vec = np.array(_components(moments, k, d, f.terms))
-    q_vec = np.array(_components(moments, k, d, flow.terms))
+    moments = _plane_moments(f.key, grid, 2 * (d + max(f.degree, flow.degree)))
+    p_vec = np.array(_components(moments, grid.k, d, f.terms))
+    q_vec = np.array(_components(moments, grid.k, d, flow.terms))
     return float(np.linalg.norm(_ad_matrix(z_label, d) @ p_vec - q_vec))
 
 
@@ -595,41 +591,35 @@ def odd_section_obstruction(n: int, f: TestFunction, grid: QuadratureGrid,
     if n < 0 or n % 2 == 0:
         raise ValueError(f"n={n} rejected: the obstruction pairing is for odd n >= 1")
     d = (n - 1) // 2
-    moments, k = _plane_moments(f.key, grid, 2 * (d + f.degree) + 1)
+    moments = _plane_moments(f.key, grid, 2 * (d + f.degree) + 1)
     if negative_control:
         # sign(a) a^(p+1) = |a| a^p: the moment of sign(a) at p + 1 is the
         # moment of |a| a^p, read under the lead a
         leads, parity = [(1, 0)], _SIGN_A
     else:
         leads, parity = [(1, 0), (0, 1)], _PLANE
-    return _norm(c for lead in leads for c in _components(moments, k, d, f.terms, lead, parity))
-
-
-@functools.lru_cache(maxsize=2)
-def _abs_upper_values(f: TestFunction, grid: QuadratureGrid):
-    """|f| at the image of every node on the upper ceil(m/2) rows, read-only:
-    the array odd_section_scale contracts, the same for every n.  The bound
-    holds the (f, grid) pairs of one battery."""
-    a, b = grid.nodes()
-    values = np.abs(_poly_value(f.terms, *moment_map(a[:grid.upper], b))
-                    * _node_envelope(f.key, grid))
-    values.flags.writeable = False
-    return values
+    return _norm(c for lead in leads
+                 for c in _components(moments, grid.k, d, f.terms, lead, parity))
 
 
 def odd_section_scale(n: int, f: TestFunction, grid: QuadratureGrid) -> float:
     """Companion magnitude for the obstruction: same pairing with absolute
     values everywhere, for forming relative residuals.  |f| is not a
     polynomial times a Gaussian, so it is evaluated on the upper ceil(m/2)
-    rows (_abs_upper_values) and contracted as one array against the same
-    rows of |V| and all of |V|; under |.| the lower rows add the same again
-    (_ABSOLUTE).  Each component is then a single moment, whose sign the
-    norm drops, as |h| and |y| would."""
+    rows and contracted as one array against the same rows of |V| and all
+    of |V|; under |.| the lower rows add the same again (_ABSOLUTE).  Each
+    component is then a single moment, whose sign the norm drops, as |h|
+    and |y| would.  When the polynomial part is 1, |f| is the envelope E
+    itself, which is never negative (_node_envelope)."""
     if n < 0 or n % 2 == 0:
         raise ValueError(f"n={n} rejected: the obstruction scale is for odd n >= 1")
     d = (n - 1) // 2
     half, v = _vandermonde(grid, 2 * d + 1)
-    moments = (np.abs(half).T @ _abs_upper_values(f, grid) @ np.abs(v)).tolist()
+    values = _node_envelope(f.key, grid)
+    if f.terms != _ONE:
+        a, b = grid.nodes()
+        values = np.abs(_poly_value(f.terms, *moment_map(a[:grid.upper], b)) * values)
+    moments = (np.abs(half).T @ values @ np.abs(v)).tolist()
     return _norm(c for lead in ((1, 0), (0, 1))
                  for c in _components(moments, grid.k, d, _ONE, lead, _ABSOLUTE))
 

@@ -2,10 +2,13 @@
 
 import argparse
 import contextlib
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nilcone
 import nilcone.characters as characters
 import nilcone.cli as cli
 import nilcone.oracle as oracle
@@ -28,6 +32,7 @@ from nilcone.cli import main, parse_poly
 CLI_GOLDEN = Path(__file__).parent / "golden" / "cli_reports.json"
 README = Path(__file__).resolve().parents[1] / "README.md"
 CI_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run(argv):
@@ -504,11 +509,18 @@ def test_exit_two_on_a_corrupted_brute_force_table(monkeypatch, capsys):
 # -- per-process memos ----------------------------------------------------------
 
 
-def _oracle_memos():
-    return [obj for _, obj in sorted(vars(oracle).items()) if hasattr(obj, "cache_clear")]
+def _package_memos():
+    """Every functools memo defined in the package."""
+    memos = []
+    for info in pkgutil.iter_modules(nilcone.__path__):
+        if info.name != "__main__":         # importing it runs the command line
+            module = importlib.import_module(f"nilcone.{info.name}")
+            memos += [obj for _, obj in sorted(vars(module).items())
+                      if hasattr(obj, "cache_info") and obj.__module__ == module.__name__]
+    return memos
 
 
-def test_memos_hold_every_n_and_degree_the_cli_accepts(capsys):
+def test_memos_hold_every_n_and_degree_the_cli_accepts():
     # classify is keyed on n and the three open-set flags: 8 queries per n
     for memo, queries in ((sl2.make_irrep, cli.SIZE_CAP + 1),
                           (sl2._module_checks, cli.SIZE_CAP + 1),
@@ -516,22 +528,41 @@ def test_memos_hold_every_n_and_degree_the_cli_accepts(capsys):
                           (solver.classify_square_finite_supported, (cli.SIZE_CAP + 1) * 8)):
         maxsize = memo.cache_info().maxsize
         assert maxsize is not None and maxsize >= queries, memo
-    # each oracle memo is bounded and holds every key of each battery at the
-    # caps: a cold run evicts nothing, so every miss is still held
-    memos = _oracle_memos()
-    assert {memo.__name__ for memo in memos} >= {"_node_envelope", "_plane_moments",
-                                                 "_weighted_monomials", "_lie_flows",
-                                                 "_abs_upper_values"}
-    grid = ["--grid", str(cli.GRID_CAP)]
-    for argv in (["numcheck", "--kind", "invariance", "--n", str(cli.SIZE_CAP), *grid],
-                 ["numcheck", "--kind", "obstruction", "--n", str(cli.SIZE_CAP - 1), *grid],
-                 ["numcheck", "--kind", "pairing", *grid]):
-        for memo in memos:
-            memo.cache_clear()
-        assert run(argv) == 0
-        for memo in memos:
-            info = memo.cache_info()
-            assert info.maxsize is not None and info.currsize == info.misses, (argv, memo)
+
+
+_CAP_BATTERIES = [["numcheck", "--kind", kind, *n, "--grid", str(grid)]
+                  for grid in (cli.GRID_CAP, cli.GRID_CAP - 1)
+                  for kind, n in (("invariance", ["--n", str(cli.SIZE_CAP)]),
+                                  ("obstruction", ["--n", str(cli.SIZE_CAP - 1)]),
+                                  ("pairing", []))]
+
+
+@pytest.mark.parametrize("traffic", [["local_fresh"], ["global_cli"], ["quadrature"],
+                                     *_CAP_BATTERIES],
+                         ids=lambda argv: "-".join(argv[2:3] + argv[-1:]))
+def test_every_memo_builds_each_entry_once(traffic, monkeypatch, capsys):
+    # one round of a benchmark workload, or one numcheck battery at its --n
+    # and --grid caps, from every memo cleared: a memo whose bound is below
+    # the distinct keys the traffic reads evicts one and builds it again, and
+    # its misses then exceed its size
+    memos = _package_memos()
+    assert {sl2.make_irrep, characters._brute_adjoint_pieces, oracle._node_envelope} <= set(memos)
+    for memo in memos:
+        memo.cache_clear()
+    if traffic[0] == "numcheck":
+        assert run(traffic) == 0
+    else:
+        monkeypatch.syspath_prepend(str(BENCH))
+        workloads = importlib.import_module("workloads")
+        rnd = next(workloads.WORKLOADS[traffic[0]]().rounds(seed=1))
+        for query in rnd.queries:
+            query.check(query.call())
+        rnd.close()
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.misses == info.currsize, (memo.__name__, info)
+        # unbounded only when it takes no argument, and so holds one entry
+        assert info.maxsize is not None or not inspect.signature(memo).parameters, memo.__name__
     capsys.readouterr()
 
 
@@ -555,7 +586,7 @@ def test_cold_and_warm_numcheck_runs_print_the_same_bytes(fmt, capsys):
     # battery, and every oracle memo each of its keys: the warm run misses
     # none of them, so it evaluates no envelope, moment table or monomial
     # weights again
-    memos = _oracle_memos()
+    memos = _package_memos()
     for argv, pairs in ((["numcheck", "--kind", "invariance", "--n", "2"], 3),
                         (["numcheck", "--kind", "obstruction", "--n", "3"], 1),
                         (["numcheck", "--kind", "pairing"], 4)):
@@ -589,7 +620,7 @@ def test_numcheck_reads_nothing_from_its_memos_but_what_it_would_compute(argv, c
     run(argv)
     capsys.readouterr()
     warm = run(argv), capsys.readouterr().out
-    memos = _oracle_memos()
+    memos = _package_memos()
 
     def cold(fn):
         def call(*args, **kwargs):

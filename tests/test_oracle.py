@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import random
 import warnings
 from fractions import Fraction
 
@@ -13,10 +12,10 @@ from hypothesis import strategies as st
 
 from nilcone import oracle
 from nilcone.oracle import (CONTROL_MIN, ROUNDOFF, SIGMA_WINDOW, QuadratureGrid, TestFunction,
-                            _FLOWS, _abs_upper_values, _ad_matrix, _components,
+                            _FLOWS, _ONE, _ad_matrix, _components,
                             _gauss_legendre, _lie_flows, _monomials, _multinomial,
-                            _node_envelope, _plane_moments, _power_table, _vandermonde,
-                            _weighted_monomials, invariance_report,
+                            _node_envelope, _plane_moments, _poly_value, _power_table,
+                            _vandermonde, _weighted_monomials, invariance_report,
                             invariance_residual, lie_derivative, moment_map,
                             obstruction_report, odd_section_obstruction, odd_section_scale,
                             pair_delta_nplus, seed_pairing, tail_bound)
@@ -184,10 +183,10 @@ def test_cached_rule_and_ad_matrices_are_read_only():
     f = TestFunction.gaussian(center=(0, 1, 0), sigma=0.5)
     grid = QuadratureGrid(2.5, 12, "gauss")
     for arr in (*_gauss_legendre(12), *(_ad_matrix(z, 2) for z in "HXY"),
-                _node_envelope(f.key, grid), _abs_upper_values(f, grid), _power_table(grid, 16)):
+                _node_envelope(f.key, grid), _power_table(grid, 16)):
         with pytest.raises(ValueError):
             arr[...] = 0.0
-    for table in (_plane_moments(f.key, grid, 5)[0], _weighted_monomials(2)):
+    for table in (_plane_moments(f.key, grid, 5), _weighted_monomials(2)):
         with pytest.raises(TypeError):
             table[0] = table[1]
         with pytest.raises(TypeError):
@@ -199,12 +198,15 @@ def test_node_envelope_is_the_envelope_at_the_node_images():
     # against the plain expression the in-place buffer replaces, bit for bit,
     # off h-centre 0 and at it, where the exp runs on a quarter and the other
     # columns are its mirror; the centre scales with the width so that E is
-    # not 0.0 on every node
+    # not 0.0 on every node.  The polynomial part is 1, so |f| on the upper
+    # rows, as odd_section_scale computes it for any other f, is E byte for
+    # byte: the array it contracts in its place
     for sigma, h_centre in itertools.product((SIGMA_WINDOW[0], 0.75, SIGMA_WINDOW[1]),
                                              (Fraction(1, 3), 0)):
         f = TestFunction.gaussian(
             center=[Fraction(sigma) * t for t in (h_centre, 2, Fraction(-1, 2))],
             sigma=sigma)
+        assert f.terms == _ONE
         ch, cx, cy = (float(t) for t in f.center)
         for rule in ("midpoint", "gauss"):
             for m in (11, 12):
@@ -217,6 +219,8 @@ def test_node_envelope_is_the_envelope_at_the_node_images():
                 assert got.shape == (c, m)
                 assert np.array_equal(got, f.envelope(h, x, y)[:c]), (sigma, h_centre, rule, m)
                 assert got.tobytes() == plain[:c].tobytes(), (sigma, h_centre, rule, m)
+                abs_f = np.abs(_poly_value(f.terms, h[:c], x[:c], y[:c]) * got)
+                assert abs_f.tobytes() == got.tobytes(), (sigma, h_centre, rule, m)
 
 
 def test_vandermonde_slices_one_power_table_per_grid_and_block():
@@ -239,41 +243,6 @@ def test_vandermonde_slices_one_power_table_per_grid_and_block():
                 want_half[-1] *= 0.5
             assert half.tobytes() == want_half.tobytes(), (rule, m, radius, top)
         assert _power_table.cache_info().currsize == 4      # widths 16, 32, 64 and 80
-
-
-def test_a_battery_builds_each_power_table_once():
-    # the quadrature benchmark's battery, shuffled: the flows of its
-    # Gaussians have degree 2, so its invariance residuals at n = 4 read tops
-    # up to 2 (2 + 2) = 8, one 16-column block serves each of its 7 grids,
-    # and the bound keeps every table
-    sigma = 0.8
-    shifted = TestFunction.gaussian(center=(0, 3, 0), sigma=sigma)
-    near = TestFunction.gaussian(center=(0, 1, 0), sigma=sigma)
-    centred = TestFunction.gaussian(center=(0, 0, 0), sigma=sigma)
-    calls = []
-    for n, m in itertools.product((2, 4), (32, 64, 96, 128)):
-        grid = QuadratureGrid(6 * sigma, m)
-        calls.append(lambda n=n, g=grid: seed_pairing(n, shifted, g))
-        calls += [lambda n=n, z=z, g=grid: invariance_residual(n, z, shifted, g) for z in "HXY"]
-    for n, m in itertools.product((1, 3, 5), (64, 128)):
-        grid = QuadratureGrid(6 * sigma, m)
-        calls += [lambda n=n, g=grid: odd_section_scale(n, near, g),
-                  lambda n=n, g=grid: odd_section_obstruction(n, near, g),
-                  lambda n=n, g=grid: odd_section_obstruction(n, near, g, negative_control=True)]
-    for m in (128, 192):
-        mid = QuadratureGrid(6 * sigma, m, "midpoint")
-        gauss = QuadratureGrid(6 * sigma, m * 3 // 4, "gauss")
-        calls += [lambda g=mid: pair_delta_nplus(centred, g),
-                  lambda g=mid: pair_delta_nplus(near.casimir(), g),
-                  lambda g=gauss: pair_delta_nplus(near.casimir(), g),
-                  lambda g=mid: tail_bound(centred, g)]
-    random.Random(0).shuffle(calls)
-    _plane_moments.cache_clear()
-    _power_table.cache_clear()
-    for call in calls:
-        call()
-    info = _power_table.cache_info()
-    assert info.misses == info.currsize == 7
 
 
 def _lie_derivative_by_three_partials(z_label, f):
@@ -597,7 +566,7 @@ def test_mirror_pairing_cancels_an_odd_integrand_exactly(monkeypatch):
     for rule in ("midpoint", "gauss"):
         for m in (7, 8, 33, 64):
             grid = QuadratureGrid(4.8, m, rule)
-            u, k = _plane_moments(f.key, grid, 7)
+            u, k = _plane_moments(f.key, grid, 7), grid.k
             for p in range(8):
                 for q in range(8):
                     moment, = _components(u, k, 0, one, (p, q))
